@@ -19,11 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from .compress import (
-    BACKENDS,
     CircuitFormatError,
     CircuitIR,
     Gate,
-    classify_gates,
     cost_report,
     parse_circuit,
     parse_layout,
@@ -176,13 +174,8 @@ def cmd_compress(args) -> int:
             layout = parse_layout(fh.read())
 
     report = cost_report(circuit, layout)
-    tags = classify_gates(circuit, layout)
-    nonlocal_info = []
-    for i, tag in enumerate(tags):
-        if tag.local:
-            continue
-        deriv = trigger_sets(circuit.gates[i], layout)
-        nonlocal_info.append({
+    nonlocal_info = [
+        {
             "index": i,
             "kind": circuit.gates[i].kind,
             "groups": list(deriv.groups),
@@ -191,7 +184,9 @@ def cmd_compress(args) -> int:
             "second_triggers": list(deriv.second.indices),
             "second_dim": deriv.second.dim,
             "removed": list(deriv.removed),
-        })
+        }
+        for i, deriv in report.crossings
+    ]
     payload = {
         "command": "compress",
         "qubits": circuit.qubit_count,

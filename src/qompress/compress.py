@@ -258,7 +258,12 @@ class BackendCost:
 
 @dataclass(frozen=True)
 class CostReport:
+    """The four backend rows of a grouped circuit. `crossings` holds each
+    two-group gate's index with the trigger-set derivation the rows were
+    priced from; `compress --format json` prints them as `nonlocal_gates`."""
+
     rows: tuple[BackendCost, ...]
+    crossings: tuple[tuple[int, TriggerDerivation], ...]
 
     def row(self, backend: str) -> BackendCost:
         for r in self.rows:
@@ -276,17 +281,18 @@ def cost_report(circuit: CircuitIR, layout: QuditLayout) -> CostReport:
             raise ValueError(f"{gate.kind!r} has no fixed two-qubit decomposition")
         unc_count += _CX_EQUIV[gate.kind]
 
-    nonlocal_idx = [i for i, t in enumerate(tags) if not t.local]
-    derivs = [trigger_sets(circuit.gates[i], layout) for i in nonlocal_idx]
+    crossings = tuple(
+        (i, trigger_sets(circuit.gates[i], layout)) for i, tag in enumerate(tags) if not tag.local
+    )
+    derivs = [d for _, d in crossings]
 
     std_count = sum(len(d.first) * len(d.second) for d in derivs)
 
-    illegal = [i for i in nonlocal_idx if not legality_state_dependent(circuit, i, layout)]
-    sd_count = len(nonlocal_idx)
+    sd_count = len(crossings)
     reason = None
-    if illegal:
+    if sd_count > 1:
         reason = (
-            f"gate {illegal[0]} follows an earlier two-group gate, so its input "
+            f"gate {crossings[1][0]} follows an earlier two-group gate, so its input "
             "marginals are unknown and no router ancilla can be prepared"
         )
 
@@ -305,7 +311,7 @@ def cost_report(circuit: CircuitIR, layout: QuditLayout) -> CostReport:
             sd_count,
             success_probability("state-dependent", 0, 0) ** sd_count,
             2 * sd_count,
-            not illegal,
+            reason is None,
             reason,
         ),
         BackendCost(
@@ -316,7 +322,7 @@ def cost_report(circuit: CircuitIR, layout: QuditLayout) -> CostReport:
             True,
         ),
     )
-    return CostReport(rows)
+    return CostReport(rows, crossings)
 
 
 def _qubit_gate_unitary(gate: Gate) -> Unitary:
@@ -353,6 +359,8 @@ def _run_grouped(
     layout: QuditLayout,
     backend: str,
     bits: tuple[int, ...],
+    tags: tuple[GateTag, ...],
+    derivations: dict[int, TriggerDerivation],
 ) -> tuple[int, ...]:
     factors: list[np.ndarray] = []
     for group in layout.groups:
@@ -362,18 +370,21 @@ def _run_grouped(
         vec[level] = 1.0
         factors.append(vec)
 
-    for gate in circuit.gates:
-        gs = sorted({layout.group_of(q) for q in gate.operands})
-        if len(gs) == 1:
-            g = gs[0]
+    for i, (gate, tag) in enumerate(zip(circuit.gates, tags)):
+        if tag.local:
+            g = tag.groups[0]
             factors[g] = _apply_local(gate, layout.groups[g], factors[g])
             continue
-        deriv = trigger_sets(gate, layout)
+        # derived when the first input word reaches the gate, so an earlier
+        # entangling gate still fails first; later words reuse it
+        if i not in derivations:
+            derivations[i] = trigger_sets(gate, layout)
+        deriv = derivations[i]
         g1, g2 = deriv.groups
         if gate.is_x_kind:
             gt = layout.group_of(gate.target)
             factors[gt] = _apply_local(Gate("h", (gate.target,)), layout.groups[gt], factors[gt])
-        d1, d2 = 2 ** len(layout.groups[g1]), 2 ** len(layout.groups[g2])
+        d1, d2 = deriv.first.dim, deriv.second.dim
         if backend == "state-dependent":
             res = run_state_dependent(
                 PureState((d1,), factors[g1]),
@@ -420,14 +431,15 @@ def simulate_compressed(
         raise ValueError(f"unknown backend {backend!r}; pick one of {BACKENDS}")
     tags = classify_gates(circuit, layout)
     if backend == "state-dependent":
-        for i, tag in enumerate(tags):
-            if not tag.local and not legality_state_dependent(circuit, i, layout):
-                raise CompressionError(
-                    f"gate {i} follows an earlier two-group gate; "
-                    "no router ancilla can be matched to its input"
-                )
+        later = [i for i, tag in enumerate(tags) if not tag.local][1:]
+        if later:
+            raise CompressionError(
+                f"gate {later[0]} follows an earlier two-group gate; "
+                "no router ancilla can be matched to its input"
+            )
+    derivations: dict[int, TriggerDerivation] = {}
     return {
-        bits: _run_grouped(circuit, layout, backend, bits)
+        bits: _run_grouped(circuit, layout, backend, bits, tags, derivations)
         for bits in itertools.product((0, 1), repeat=circuit.qubit_count)
     }
 

@@ -4,11 +4,11 @@ analyzer used to fuse two routed registers."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .qstate import PureState, Unitary, gram_schmidt_complement
+from .qstate import PureState, Unitary
 
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
@@ -119,19 +119,22 @@ def prepare_ancillas(
 
 def ancilla_flag_unitary(pattern: np.ndarray) -> Unitary:
     """Mode unitary that maps the pass rail to level 0 and the pattern
-    state to level 1, completing the rest arbitrarily."""
+    state to level 1, completing the rest with a Householder reflection."""
     pattern = np.asarray(pattern, dtype=complex).reshape(-1)
     k = pattern.size
     if abs(np.linalg.norm(pattern) - 1.0) > 1e-10:
         raise ValueError("pattern must be normalized")
-    pass_mode = np.zeros(k + 1, dtype=complex)
-    pass_mode[k] = 1.0
-    xi = np.concatenate([pattern, [0.0]])
+    # R = I - 2vv†/(v†v) sends the pattern to a multiple of e0, so rows 1..
+    # of R are orthonormal and orthogonal to it; the + sign keeps v†v >= 2
+    v = pattern.copy()
+    v[0] += np.exp(1j * np.angle(pattern[0]))
+    reflection = np.eye(k) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
     # row i of the matrix is the bra of the state sent to level i
-    rows = [pass_mode, xi.conj()]
-    if k > 1:
-        rows.extend(gram_schmidt_complement([pass_mode, xi], k + 1).conj())
-    return Unitary(np.vstack(rows))
+    mat = np.zeros((k + 1, k + 1), dtype=complex)
+    mat[0, k] = 1.0
+    mat[1, :k] = pattern.conj()
+    mat[2:, :k] = reflection[1:]
+    return Unitary(mat)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ significant digit, matching numpy's C-order reshape.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -86,7 +87,11 @@ class Unitary:
         return self.entries.shape[0]
 
     def on(self, *targets: int) -> "Unitary":
-        return Unitary(self.entries, tuple(targets))
+        """The same matrix bound to subsystem positions. The copy shares the
+        validated, read-only entries, so the unitarity check does not rerun."""
+        bound = copy.copy(self)
+        object.__setattr__(bound, "targets", tuple(int(t) for t in targets))
+        return bound
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
@@ -145,29 +150,6 @@ def fidelity_up_to_phase(a: PureState, b: PureState) -> float:
         if abs(s.norm - 1.0) > NORM_ATOL:
             raise ValueError("fidelity is only defined for normalized states")
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
-
-
-def gram_schmidt_complement(fixed: list[np.ndarray], dim: int) -> np.ndarray:
-    """Orthonormal rows spanning the complement of the given vectors.
-
-    The fixed vectors must themselves be orthonormal; the projector onto
-    their complement is diagonalized and the eigenvalue-one block kept.
-    """
-    fixed = [np.asarray(v, dtype=complex).reshape(dim) for v in fixed]
-    for i, v in enumerate(fixed):
-        if abs(np.linalg.norm(v) - 1.0) > NORM_ATOL:
-            raise ValueError(f"fixed vector {i} is not normalized")
-        for w in fixed[:i]:
-            if abs(np.vdot(w, v)) > NORM_ATOL:
-                raise ValueError("fixed vectors are not mutually orthogonal")
-    proj = np.eye(dim, dtype=complex)
-    for v in fixed:
-        proj -= np.outer(v, v.conj())
-    eigvals, eigvecs = np.linalg.eigh(proj)
-    rows = eigvecs[:, eigvals > 0.5].T
-    if rows.shape[0] != dim - len(fixed):
-        raise ValueError("complement has unexpected dimension")
-    return rows
 
 
 def random_state(dims: tuple[int, ...], rng: np.random.Generator) -> PureState:

@@ -163,6 +163,61 @@ class TestBundledAdder:
         assert legality_state_dependent(circuit, 2, layout) is False
 
 
+def three_crossing_circuit() -> tuple[CircuitIR, QuditLayout]:
+    # crossings at gates 1, 4 and 5, one over each pair of the three groups
+    circuit = CircuitIR(6, (
+        Gate("h", (0,)),
+        Gate("ccx", (0, 1, 2)),
+        Gate("x", (4,)),
+        Gate("cx", (1, 0)),
+        Gate("cz", (3, 5)),
+        Gate("cx", (4, 0)),
+    ))
+    return circuit, QuditLayout(((0, 1), (2, 3), (4, 5)))
+
+
+class TestCrossings:
+    @pytest.mark.parametrize("case", ["adder", "three-crossing"])
+    def test_report_carries_derivations(self, case):
+        circuit, layout = (
+            (qfa_circuit(), qfa_layout()) if case == "adder" else three_crossing_circuit()
+        )
+        tags = classify_gates(circuit, layout)
+        want = [
+            (i, trigger_sets(g, layout))
+            for i, (g, t) in enumerate(zip(circuit.gates, tags)) if not t.local
+        ]
+        assert list(cost_report(circuit, layout).crossings) == want
+
+    def test_second_crossing_is_named(self):
+        circuit, layout = three_crossing_circuit()
+        assert "gate 4 " in cost_report(circuit, layout).row("state-dependent").reason
+        with pytest.raises(CompressionError, match="gate 4 "):
+            simulate_compressed(circuit, layout, "state-dependent")
+
+    def test_three_group_second_crossing_is_refused(self):
+        circuit = CircuitIR(6, (Gate("cx", (0, 2)), Gate("ccx", (0, 2, 4))))
+        with pytest.raises(CompressionError, match="gate 1 "):
+            simulate_compressed(circuit, QuditLayout(((0, 1), (2, 3), (4, 5))), "state-dependent")
+
+    def test_entangling_gate_fails_before_a_later_three_group_gate(self):
+        circuit = CircuitIR(6, (Gate("h", (0,)), Gate("cx", (0, 2)), Gate("ccx", (0, 2, 4))))
+        with pytest.raises(CompressionError, match="entangled"):
+            simulate_compressed(circuit, QuditLayout(((0, 1), (2, 3), (4, 5))), "standard")
+
+    @pytest.mark.parametrize("qubits, gates, message", [
+        # an uncovered layout is reported before an undecomposable kind,
+        # and that before a gate over three groups
+        (4, (Gate("mcx", (0, 1, 2, 3)),), "does not cover"),
+        (6, (Gate("ccx", (0, 2, 4)), Gate("mcx", (0, 2, 4, 5))), "no fixed two-qubit"),
+        (6, (Gate("cx", (0, 3)), Gate("ccx", (0, 2, 4))), "more than two groups"),
+    ])
+    def test_rejection_order(self, qubits, gates, message):
+        layout = QuditLayout(((0, 1), (2, 3), (4, 5)))
+        with pytest.raises(ValueError, match=message):
+            cost_report(CircuitIR(qubits, gates), layout)
+
+
 class TestCostRows:
     def test_qfa_rows(self):
         report = cost_report(qfa_circuit(), qfa_layout())

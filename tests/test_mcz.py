@@ -138,8 +138,12 @@ class TestAncillaFlagUnitary:
 
     def test_maps_pass_mode_and_pattern(self):
         rng = np.random.default_rng(17)
-        for k in (1, 2, 3, 5):
-            pattern = random_amplitudes(k, rng)
+        patterns = [random_amplitudes(k, rng) for k in (1, 2, 3, 5)]
+        # no weight on the first level, and a phased first basis vector
+        patterns.append(np.array([0.0, 0.6, 0.8j]))
+        patterns.append(np.exp(0.7j) * np.eye(4)[0])
+        for pattern in patterns:
+            k = pattern.size
             u = ancilla_flag_unitary(pattern).entries
             assert u.shape == (k + 1, k + 1)
             np.testing.assert_allclose(u.conj().T @ u, np.eye(k + 1), atol=1e-12)
@@ -147,6 +151,10 @@ class TestAncillaFlagUnitary:
             np.testing.assert_allclose(u @ pass_mode, np.eye(k + 1)[0], atol=1e-12)
             xi = np.concatenate([pattern, [0.0]])
             np.testing.assert_allclose(u @ xi, np.eye(k + 1)[1], atol=1e-12)
+
+    def test_rejects_unnormalized_pattern(self):
+        with pytest.raises(ValueError):
+            ancilla_flag_unitary(np.array([1.0, 1.0]))
 
 
 class TestBellMeasurement:

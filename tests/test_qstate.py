@@ -11,7 +11,6 @@ from qompress.qstate import (
     Unitary,
     apply,
     fidelity_up_to_phase,
-    gram_schmidt_complement,
     hadamard,
     permute_subsystems,
     random_state,
@@ -88,6 +87,12 @@ class TestUnitary:
         u = hadamard().on(2)
         assert u.targets == (2,)
 
+    def test_on_shares_validated_entries(self):
+        u = hadamard()
+        bound = u.on(1)
+        assert bound.entries is u.entries
+        assert u.targets is None
+
 
 class TestApply:
     def test_matches_embedded_matrix(self):
@@ -158,32 +163,6 @@ class TestRegisterOps:
         np.testing.assert_allclose(fidelity_up_to_phase(s, rotated), 1.0, atol=1e-12)
         with pytest.raises(ValueError):
             fidelity_up_to_phase(s, PureState((4,), s.amps * 2.0))
-
-
-class TestComplement:
-    def test_completes_orthonormal_basis(self):
-        rng = np.random.default_rng(31)
-        dim = 6
-        q = haar_unitary(dim, rng)
-        fixed = [q[:, 0], q[:, 1]]
-        rows = gram_schmidt_complement(fixed, dim)
-        assert rows.shape == (4, dim)
-        basis = np.vstack([np.array(fixed), rows])
-        np.testing.assert_allclose(basis.conj() @ basis.T, np.eye(dim), atol=1e-10)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            gram_schmidt_complement([np.array([1.0, 1.0])], 2)
-
-    def test_rejects_non_orthogonal(self):
-        v = np.array([1.0, 0.0, 0.0])
-        w = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
-        with pytest.raises(ValueError):
-            gram_schmidt_complement([v, w], 3)
-
-    def test_empty_fixed_set(self):
-        rows = gram_schmidt_complement([], 3)
-        np.testing.assert_allclose(rows.conj() @ rows.T, np.eye(3), atol=1e-10)
 
 
 def test_random_state_normalized():
