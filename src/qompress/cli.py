@@ -97,6 +97,9 @@ def _model_from_flag(name: str) -> BsmModel:
 
 def cmd_verify(args) -> int:
     seed = _resolve_seed(args.seed)
+    for flag, dim in (("--d1", args.d1), ("--d2", args.d2)):
+        if dim < 2:
+            raise UsageError(f"{flag} must be at least 2, got {dim}")
     c1 = _parse_levels(args.c1, "--c1")
     c2 = _parse_levels(args.c2, "--c2")
     try:
@@ -173,7 +176,10 @@ def cmd_compress(args) -> int:
         with open(args.layout, "r", encoding="utf-8") as fh:
             layout = parse_layout(fh.read())
 
-    report = cost_report(circuit, layout)
+    try:
+        report = cost_report(circuit, layout)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     nonlocal_info = [
         {
             "index": i,

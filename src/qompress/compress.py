@@ -18,8 +18,8 @@ from importlib import resources
 
 import numpy as np
 
-from .mcz import TriggerSet, multi_level_cz
-from .qstate import PureState, Unitary, apply, hadamard
+from .mcz import TriggerSet, correction_unitary, multi_level_cz
+from .qstate import PureState, apply, hadamard
 from .schemes import run_state_dependent, run_state_independent_joint, success_probability
 
 BACKENDS = ("uncompressed", "standard", "state-dependent", "state-independent")
@@ -325,97 +325,25 @@ def cost_report(circuit: CircuitIR, layout: QuditLayout) -> CostReport:
     return CostReport(rows, crossings)
 
 
-def _qubit_gate_unitary(gate: Gate) -> Unitary:
-    if gate.kind == "h":
-        return hadamard()
-    n = 2 ** len(gate.operands)
-    mat = np.eye(n)
-    if gate.is_x_kind:
-        # flip the target bit (least significant here) when all controls are set
-        mat[[n - 1, n - 2]] = mat[[n - 2, n - 1]]
-    else:
-        mat[n - 1, n - 1] = -1.0
-    return Unitary(mat)
+def _hadamard_on(factors: list[np.ndarray], layout: QuditLayout, qubit: int):
+    """Hadamard on one qubit, in place in its group's stacked (words, 2^w) factor."""
+    g = layout.group_of(qubit)
+    group, factor = layout.groups[g], factors[g]
+    state = PureState((len(factor),) + (2,) * len(group), factor)
+    factors[g] = apply(hadamard().on(1 + group.index(qubit)), state).amps.reshape(len(factor), -1)
 
 
-def _apply_local(gate: Gate, group: tuple[int, ...], vec: np.ndarray) -> np.ndarray:
-    state = PureState((2,) * len(group), vec)
-    positions = tuple(group.index(q) for q in gate.operands)
-    return apply(_qubit_gate_unitary(gate).on(*positions), state).amps.reshape(-1)
-
-
-def _refactor(joint: np.ndarray, d1: int, d2: int) -> tuple[np.ndarray, np.ndarray]:
-    u, s, vh = np.linalg.svd(joint.reshape(d1, d2))
-    if s.size > 1 and s[1] > _ENTANGLEMENT_ATOL:
+def _refactor(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split each (d1, d2) slice of a stacked joint state into its two factors."""
+    u, s, vh = np.linalg.svd(joint)
+    # both dims are at least 2, so every slice has a second singular value
+    entangled = np.flatnonzero(s[:, 1] > _ENTANGLEMENT_ATOL)
+    if entangled.size:
         raise CompressionError(
-            f"groups became entangled (second singular value {s[1]:.3e}); "
+            f"groups became entangled (second singular value {s[entangled[0], 1]:.3e}); "
             "the factored register layout cannot represent this state"
         )
-    return u[:, 0] * s[0], vh[0].copy()
-
-
-def _run_grouped(
-    circuit: CircuitIR,
-    layout: QuditLayout,
-    backend: str,
-    bits: tuple[int, ...],
-    tags: tuple[GateTag, ...],
-    derivations: dict[int, TriggerDerivation],
-) -> tuple[int, ...]:
-    factors: list[np.ndarray] = []
-    for group in layout.groups:
-        w = len(group)
-        level = sum(bits[q] << (w - 1 - pos) for pos, q in enumerate(group))
-        vec = np.zeros(2 ** w, dtype=complex)
-        vec[level] = 1.0
-        factors.append(vec)
-
-    for i, (gate, tag) in enumerate(zip(circuit.gates, tags)):
-        if tag.local:
-            g = tag.groups[0]
-            factors[g] = _apply_local(gate, layout.groups[g], factors[g])
-            continue
-        # derived when the first input word reaches the gate, so an earlier
-        # entangling gate still fails first; later words reuse it
-        if i not in derivations:
-            derivations[i] = trigger_sets(gate, layout)
-        deriv = derivations[i]
-        g1, g2 = deriv.groups
-        if gate.is_x_kind:
-            gt = layout.group_of(gate.target)
-            factors[gt] = _apply_local(Gate("h", (gate.target,)), layout.groups[gt], factors[gt])
-        d1, d2 = deriv.first.dim, deriv.second.dim
-        if backend == "state-dependent":
-            res = run_state_dependent(
-                PureState((d1,), factors[g1]),
-                PureState((d2,), factors[g2]),
-                deriv.first,
-                deriv.second,
-            )
-            joint = res.output.amps
-        elif backend == "state-independent":
-            res = run_state_independent_joint(
-                PureState((d1, d2), np.kron(factors[g1], factors[g2])),
-                deriv.first,
-                deriv.second,
-            )
-            joint = res.output.amps
-        else:
-            gate_u = multi_level_cz(d1, d2, deriv.first, deriv.second)
-            joint = (gate_u.entries @ np.kron(factors[g1], factors[g2])).reshape(d1, d2)
-        factors[g1], factors[g2] = _refactor(np.asarray(joint), d1, d2)
-        if gate.is_x_kind:
-            factors[gt] = _apply_local(Gate("h", (gate.target,)), layout.groups[gt], factors[gt])
-
-    out = [0] * circuit.qubit_count
-    for g, group in enumerate(layout.groups):
-        w = len(group)
-        level = int(np.argmax(np.abs(factors[g])))
-        if abs(abs(factors[g][level]) - 1.0) > _ENTANGLEMENT_ATOL:
-            raise CompressionError("final state is not a computational basis word")
-        for pos, q in enumerate(group):
-            out[q] = (level >> (w - 1 - pos)) & 1
-    return tuple(out)
+    return u[:, :, 0] * s[:, :1], vh[:, 0]
 
 
 def simulate_compressed(
@@ -426,6 +354,14 @@ def simulate_compressed(
     All backends realize the same logic; they only differ in how each
     two-group gate would be executed, so the state-dependent backend
     refuses circuits whose gate order makes its ancillas unpreparable.
+
+    All words run together, one gate at a time: each group holds one
+    (words, 2^w) factor. Every gate but `h` is a sign flip on the levels
+    where all its operands are set, inside a Hadamard on the target for
+    x-kinds. A failure is raised at the earliest gate where any word
+    fails, for the lowest such word; the final basis-word readout counts
+    as coming after the last gate. The state-dependent refusal comes
+    first, before any gate runs.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; pick one of {BACKENDS}")
@@ -437,11 +373,64 @@ def simulate_compressed(
                 f"gate {later[0]} follows an earlier two-group gate; "
                 "no router ancilla can be matched to its input"
             )
-    derivations: dict[int, TriggerDerivation] = {}
-    return {
-        bits: _run_grouped(circuit, layout, backend, bits, tags, derivations)
-        for bits in itertools.product((0, 1), repeat=circuit.qubit_count)
-    }
+    words = list(itertools.product((0, 1), repeat=circuit.qubit_count))
+    bits = np.array(words)
+    # bit shifts of each group's qubits, first-listed most significant
+    shifts = [np.arange(len(group) - 1, -1, -1) for group in layout.groups]
+    factors = [
+        np.eye(2 ** len(group), dtype=complex)[bits[:, list(group)] @ (1 << sh)]
+        for group, sh in zip(layout.groups, shifts)
+    ]
+
+    for gate, tag in zip(circuit.gates, tags):
+        if gate.kind == "h":
+            _hadamard_on(factors, layout, gate.operands[0])
+            continue
+        if gate.is_x_kind:
+            _hadamard_on(factors, layout, gate.target)
+        if tag.local:
+            g = tag.groups[0]
+            sign = correction_unitary(_group_triggers(gate, layout, g)[0])
+            factors[g] = apply(sign.on(1), PureState(factors[g].shape, factors[g])).amps
+        else:
+            deriv = trigger_sets(gate, layout)
+            g1, g2 = deriv.groups
+            d1, d2 = deriv.first.dim, deriv.second.dim
+            pairs = zip(factors[g1], factors[g2])
+            if backend == "state-dependent":
+                joint = np.array([
+                    run_state_dependent(
+                        PureState((d1,), a), PureState((d2,), b), deriv.first, deriv.second
+                    ).output.amps
+                    for a, b in pairs
+                ])
+            elif backend == "state-independent":
+                joint = np.array([
+                    run_state_independent_joint(
+                        PureState((d1, d2), np.outer(a, b)), deriv.first, deriv.second
+                    ).output.amps
+                    for a, b in pairs
+                ])
+            else:
+                # no names for the gate and the product: both are freed before the SVD
+                joint = apply(
+                    multi_level_cz(d1, d2, deriv.first, deriv.second).on(1, 2),
+                    PureState(
+                        (len(words), d1, d2), factors[g1][:, :, None] * factors[g2][:, None, :]
+                    ),
+                ).amps
+            factors[g1], factors[g2] = _refactor(joint.reshape(-1, d1, d2))
+        if gate.is_x_kind:
+            _hadamard_on(factors, layout, gate.target)
+
+    out = np.empty_like(bits)
+    for group, sh, factor in zip(layout.groups, shifts, factors):
+        levels = np.argmax(np.abs(factor), axis=1)
+        peaks = np.abs(factor[np.arange(len(words)), levels])
+        if np.any(np.abs(peaks - 1.0) > _ENTANGLEMENT_ATOL):
+            raise CompressionError("final state is not a computational basis word")
+        out[:, list(group)] = (levels[:, None] >> sh) & 1
+    return dict(zip(words, map(tuple, out.tolist())))
 
 
 def qfa_circuit() -> CircuitIR:

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from qompress.cli import main, run_claims
+from qompress.compress import cost_report, parse_circuit, parse_layout
 
 
 def run(capsys, argv):
@@ -36,6 +37,14 @@ class TestVerify:
         code, _, err = run(capsys, ["verify", "--c1", "0,1", "--d1", "2"])
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("flag", ["--d1", "--d2"])
+    @pytest.mark.parametrize("dim", [0, 1, -3])
+    def test_dimension_below_two_is_usage_error(self, capsys, flag, dim):
+        code, out, err = run(capsys, ["verify", flag, str(dim)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} must be at least 2, got {dim}\n"
 
     def test_malformed_trigger_list(self, capsys):
         code, _, err = run(capsys, ["verify", "--c1", "1,x"])
@@ -119,6 +128,27 @@ class TestCompress:
         code, _, err = run(capsys, ["compress", str(tmp_path / "no.json"), str(tmp_path / "no2.json")])
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("qubits, gates, groups", [
+        (4, [["mcx", [0, 1, 2, 3]]], [[0, 1], [2, 3]]),
+        (6, [["ccx", [0, 2, 4]]], [[0, 1], [2, 3], [4, 5]]),
+        (4, [["cx", [0, 3]]], [[0, 1]]),
+    ], ids=["mcx", "three-groups", "uncovered"])
+    def test_unpriceable_circuit_is_usage_error(self, capsys, tmp_path, qubits, gates, groups):
+        circuit_text = json.dumps(
+            {"qubits": qubits, "gates": [{"kind": k, "operands": o} for k, o in gates]}
+        )
+        layout_text = json.dumps({"groups": groups})
+        with pytest.raises(ValueError) as exc:
+            cost_report(parse_circuit(circuit_text), parse_layout(layout_text))
+        circuit = tmp_path / "c.json"
+        layout = tmp_path / "l.json"
+        circuit.write_text(circuit_text)
+        layout.write_text(layout_text)
+        code, out, err = run(capsys, ["compress", str(circuit), str(layout)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {exc.value}\n"
 
     def test_single_path_rejected(self, capsys, tmp_path):
         circuit = tmp_path / "c.json"

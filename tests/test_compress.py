@@ -8,7 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qompress import compress
 from qompress.compress import (
     BACKENDS,
     CircuitFormatError,
@@ -205,6 +208,20 @@ class TestCrossings:
         with pytest.raises(CompressionError, match="entangled"):
             simulate_compressed(circuit, QuditLayout(((0, 1), (2, 3), (4, 5))), "standard")
 
+    def test_failure_comes_from_the_earliest_gate_over_all_words(self):
+        # word 0 never entangles and would reach the three-group gate, but
+        # the words with qubit 1 set entangle at gate 2, which comes first
+        circuit = CircuitIR(6, (
+            Gate("h", (0,)),
+            Gate("h", (2,)),
+            Gate("ccz", (1, 0, 2)),
+            Gate("h", (0,)),
+            Gate("h", (2,)),
+            Gate("ccx", (0, 2, 4)),
+        ))
+        with pytest.raises(CompressionError, match="entangled"):
+            simulate_compressed(circuit, QuditLayout(((0, 1), (2, 3), (4, 5))), "standard")
+
     @pytest.mark.parametrize("qubits, gates, message", [
         # an uncovered layout is reported before an undecomposable kind,
         # and that before a gate over three groups
@@ -306,11 +323,71 @@ class TestSimulation:
         with pytest.raises(ValueError):
             simulate_compressed(benchmark_circuit(), qfa_layout(), "magic")
 
+    def test_each_crossing_is_built_once(self, monkeypatch):
+        # one derivation and one gate matrix per crossing, not one per word
+        calls = {"trigger_sets": 0, "multi_level_cz": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(compress, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(compress, name, counted)
+        simulate_compressed(qfa_circuit(), qfa_layout(), "standard")
+        assert calls == {"trigger_sets": 2, "multi_level_cz": 2}
+
     def test_entangling_circuit_rejected(self):
         circuit = CircuitIR(2, (Gate("h", (0,)), Gate("cx", (0, 1))))
         layout = QuditLayout(((0,), (1,)))
         with pytest.raises(CompressionError):
             simulate_compressed(circuit, layout, "standard")
+
+
+_CLASSICAL_ARITY = {"x": 1, "z": 1, "cx": 2, "cz": 2, "ccx": 3, "ccz": 3}
+
+
+@st.composite
+def classical_grouped_circuits(draw):
+    """h-free circuits on 2-6 qubits in 2-3 groups, no gate over three groups."""
+    n = draw(st.integers(2, 6))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=min(2, n - 1))))
+    layout = QuditLayout(tuple(
+        tuple(order[a:b]) for a, b in zip((0, *cuts), (*cuts, n))
+    ))
+    kinds = sorted(k for k, arity in _CLASSICAL_ARITY.items() if arity <= n)
+    gates = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(kinds))
+        operands = tuple(draw(st.permutations(range(n)))[:_CLASSICAL_ARITY[kind]])
+        if len({layout.group_of(q) for q in operands}) <= 2:
+            gates.append(Gate(kind, operands))
+    return CircuitIR(n, tuple(gates)), layout
+
+
+def classical_table(circuit: CircuitIR) -> dict[tuple[int, ...], tuple[int, ...]]:
+    # x-kinds flip the target when every control is set; z-kinds only
+    # change signs, which a basis word does not show
+    table = {}
+    for word in itertools.product((0, 1), repeat=circuit.qubit_count):
+        bits = list(word)
+        for gate in circuit.gates:
+            if gate.is_x_kind and all(bits[q] for q in gate.operands[:-1]):
+                bits[gate.target] ^= 1
+        table[word] = tuple(bits)
+    return table
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(classical_grouped_circuits())
+def test_every_backend_returns_the_classical_truth_table(case):
+    circuit, layout = case
+    want = classical_table(circuit)
+    crossings = sum(not t.local for t in classify_gates(circuit, layout))
+    for backend in BACKENDS:
+        if backend == "state-dependent" and crossings > 1:
+            with pytest.raises(CompressionError):
+                simulate_compressed(circuit, layout, backend)
+        else:
+            assert simulate_compressed(circuit, layout, backend) == want, backend
 
 
 class TestGateValidation:
