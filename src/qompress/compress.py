@@ -18,9 +18,14 @@ from importlib import resources
 
 import numpy as np
 
-from .mcz import TriggerSet, correction_unitary, multi_level_cz
+from .mcz import BsmModel, TriggerSet, correction_unitary, multi_level_cz
 from .qstate import PureState, apply, hadamard
-from .schemes import run_state_dependent, run_state_independent_joint, success_probability
+from .schemes import (
+    SchemeResult,
+    _run_state_dependent,
+    _run_state_independent,
+    success_probability,
+)
 
 BACKENDS = ("uncompressed", "standard", "state-dependent", "state-independent")
 
@@ -333,6 +338,10 @@ def _hadamard_on(factors: list[np.ndarray], layout: QuditLayout, qubit: int):
     factors[g] = apply(hadamard().on(1 + group.index(qubit)), state).amps.reshape(len(factor), -1)
 
 
+def _output_amps(result: SchemeResult) -> np.ndarray:
+    return result.output.amps
+
+
 def _refactor(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split each (d1, d2) slice of a stacked joint state into its two factors."""
     u, s, vh = np.linalg.svd(joint)
@@ -396,21 +405,19 @@ def simulate_compressed(
             deriv = trigger_sets(gate, layout)
             g1, g2 = deriv.groups
             d1, d2 = deriv.first.dim, deriv.second.dim
-            pairs = zip(factors[g1], factors[g2])
+            # a scheme runs once per crossing, over the words as its batch
             if backend == "state-dependent":
-                joint = np.array([
-                    run_state_dependent(
-                        PureState((d1,), a), PureState((d2,), b), deriv.first, deriv.second
-                    ).output.amps
-                    for a, b in pairs
-                ])
+                runs = _run_state_dependent(
+                    PureState((d1,), factors[g1]), PureState((d2,), factors[g2]),
+                    deriv.first, deriv.second, BsmModel.linear_optics(),
+                )
+                joint = np.concatenate(list(map(_output_amps, runs)))
             elif backend == "state-independent":
-                joint = np.array([
-                    run_state_independent_joint(
-                        PureState((d1, d2), np.outer(a, b)), deriv.first, deriv.second
-                    ).output.amps
-                    for a, b in pairs
-                ])
+                runs = _run_state_independent(
+                    PureState((d1, d2), factors[g1][:, :, None] * factors[g2][:, None, :]),
+                    deriv.first, deriv.second, "fast", BsmModel.linear_optics(),
+                )
+                joint = np.concatenate(list(map(_output_amps, runs)))
             else:
                 # no names for the gate and the product: both are freed before the SVD
                 joint = apply(

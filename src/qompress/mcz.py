@@ -91,17 +91,18 @@ def trigger_pattern(state: PureState, triggers: TriggerSet) -> tuple[np.ndarray,
     """Amplitude pattern of the state on the trigger levels.
 
     Returns (pattern, weight) with the pattern normalized and the weight
-    the probability mass it carried. A state with no support on the
-    triggers gets the uniform pattern.
+    the probability mass it carried, one of each per word for a batched
+    state. A word with no support on the triggers gets the uniform
+    pattern.
     """
     if len(state.dims) != 1:
         raise ValueError("pattern is defined for a single register")
-    beta = state.amps.reshape(-1)[list(triggers.indices)]
-    weight = float(np.sum(np.abs(beta) ** 2))
-    if weight == 0.0:
-        k = len(triggers)
-        return np.ones(k, dtype=complex) / np.sqrt(k), 0.0
-    return beta / np.sqrt(weight), weight
+    beta = state.amps[..., list(triggers.indices)]
+    weight = np.sum(np.abs(beta) ** 2, axis=-1)
+    empty = weight == 0.0
+    pattern = beta / np.sqrt(np.where(empty, 1.0, weight))[..., None]
+    pattern[empty] = 1.0 / np.sqrt(len(triggers))
+    return pattern, (weight if state.batch else float(weight))
 
 
 def prepare_ancillas(
@@ -112,28 +113,32 @@ def prepare_ancillas(
     out = []
     for state, triggers in ((psi1, c1), (psi2, c2)):
         pattern, _ = trigger_pattern(state, triggers)
-        amps = np.concatenate([pattern, [1.0]]) / np.sqrt(2.0)
+        pass_rail = np.ones(pattern.shape[:-1] + (1,))
+        amps = np.concatenate([pattern, pass_rail], axis=-1) / np.sqrt(2.0)
         out.append(PureState((len(triggers) + 1,), amps))
     return out[0], out[1]
 
 
 def ancilla_flag_unitary(pattern: np.ndarray) -> Unitary:
     """Mode unitary that maps the pass rail to level 0 and the pattern
-    state to level 1, completing the rest with a Householder reflection."""
-    pattern = np.asarray(pattern, dtype=complex).reshape(-1)
-    k = pattern.size
-    if abs(np.linalg.norm(pattern) - 1.0) > 1e-10:
+    state to level 1, completing the rest with a Householder reflection.
+
+    Leading axes of `pattern` give one unitary per word."""
+    pattern = np.asarray(pattern, dtype=complex)
+    k = pattern.shape[-1]
+    if np.any(np.abs(np.linalg.norm(pattern, axis=-1) - 1.0) > 1e-10):
         raise ValueError("pattern must be normalized")
     # R = I - 2vv†/(v†v) sends the pattern to a multiple of e0, so rows 1..
     # of R are orthonormal and orthogonal to it; the + sign keeps v†v >= 2
     v = pattern.copy()
-    v[0] += np.exp(1j * np.angle(pattern[0]))
-    reflection = np.eye(k) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
+    v[..., 0] += np.exp(1j * np.angle(pattern[..., 0]))
+    vv = np.sum(np.abs(v) ** 2, axis=-1)[..., None, None]
+    reflection = np.eye(k) - 2.0 * v[..., :, None] * v.conj()[..., None, :] / vv
     # row i of the matrix is the bra of the state sent to level i
-    mat = np.zeros((k + 1, k + 1), dtype=complex)
-    mat[0, k] = 1.0
-    mat[1, :k] = pattern.conj()
-    mat[2:, :k] = reflection[1:]
+    mat = np.zeros(pattern.shape[:-1] + (k + 1, k + 1), dtype=complex)
+    mat[..., 0, k] = 1.0
+    mat[..., 1, :k] = pattern.conj()
+    mat[..., 2:, :k] = reflection[..., 1:, :]
     return Unitary(mat)
 
 
@@ -170,15 +175,26 @@ class BsmOutcome:
 
 
 def bell_measurement(state: PureState, model: BsmModel) -> list[BsmOutcome]:
-    """Measure the last two (qubit) subsystems in the Bell basis.
+    """Measure the last two (qubit) subsystems of one state in the Bell basis.
 
     Heralded outcomes come in canonical label order with their conditional
     register states; whatever the model cannot herald is merged into a
     single terminal "fail" row.
     """
+    if state.batch:
+        raise ValueError(f"bell_measurement takes one state, got a batch {state.batch}")
+    return _bell_outcomes(state, model)
+
+
+def _bell_outcomes(state: PureState, model: BsmModel) -> list[BsmOutcome]:
+    """bell_measurement over a batch: every probability is then an array
+    with one entry per word, and a word whose outcome is below 1e-14 gets
+    a zero conditional state (an unbatched state gets None)."""
     if len(state.dims) < 2 or state.dims[-2:] != (2, 2):
         raise ValueError(f"need a qubit pair at the end, got dims {state.dims}")
     front_dims = state.dims[:-2]
+    front_axes = tuple(range(-len(front_dims), 0))
+    per_word = (...,) + (None,) * len(front_dims)
     outcomes = []
     heralded_mass = 0.0
     for label in BELL_LABELS:
@@ -186,12 +202,16 @@ def bell_measurement(state: PureState, model: BsmModel) -> list[BsmOutcome]:
             continue
         vec = _BELL[label].reshape(2, 2)
         front = np.tensordot(state.amps, vec.conj(), axes=([-2, -1], [0, 1]))
-        prob = float(np.sum(np.abs(front) ** 2))
-        heralded_mass += prob
+        prob = np.sum(np.abs(front) ** 2, axis=front_axes)
+        heralded_mass = heralded_mass + prob
+        kept = prob > 1e-14
         conditional = None
-        if prob > 1e-14:
-            conditional = PureState(front_dims, front / np.sqrt(prob))
-        outcomes.append(BsmOutcome(label, prob, conditional))
+        if np.any(kept):
+            amps = front / np.sqrt(np.where(kept, prob, 1.0))[per_word]
+            amps[~kept] = 0.0
+            conditional = PureState(front_dims, amps)
+        outcomes.append(BsmOutcome(label, prob if state.batch else float(prob), conditional))
     if model.heralds != frozenset(BELL_LABELS):
-        outcomes.append(BsmOutcome("fail", max(0.0, state.norm**2 - heralded_mass), None))
+        fail = np.maximum(0.0, state.norm**2 - heralded_mass)
+        outcomes.append(BsmOutcome("fail", fail if state.batch else float(fail), None))
     return outcomes

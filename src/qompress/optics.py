@@ -4,7 +4,7 @@ A state is stored as a symmetric coefficient matrix M with
 state = sum_pq M[p,q] adag_p adag_q |vac>, so a mode unitary acts by
 congruence, M -> U M U^T. The physical amplitude of finding the pair in
 distinct modes (p, q) is 2 M[p,q]; a doubly occupied mode carries
-sqrt(2) M[p,p].
+sqrt(2) M[p,p]. Leading axes of M hold a batch of independent words.
 """
 
 from __future__ import annotations
@@ -85,10 +85,10 @@ class TwoPhotonState:
 
     def __post_init__(self):
         coeff = np.asarray(self.coeff, dtype=complex)
-        n = coeff.shape[0]
-        if coeff.ndim != 2 or coeff.shape != (n, n):
+        n = coeff.shape[-1]
+        if coeff.ndim < 2 or coeff.shape[-2] != n:
             raise ValueError(f"coefficient matrix must be square, got {coeff.shape}")
-        if not np.allclose(coeff, coeff.T, atol=_SYMMETRY_ATOL):
+        if not np.allclose(coeff, coeff.swapaxes(-2, -1), atol=_SYMMETRY_ATOL):
             raise ValueError("coefficient matrix must be symmetric")
         if not 0 < self.split < n:
             raise ValueError(f"split {self.split} out of range for {n} modes")
@@ -100,12 +100,15 @@ class TwoPhotonState:
     @classmethod
     def product(cls, first: np.ndarray, second: np.ndarray) -> "TwoPhotonState":
         """One photon carrying `first` on the first port group, one carrying
-        `second` on the other."""
-        first = np.asarray(first, dtype=complex).reshape(-1)
-        second = np.asarray(second, dtype=complex).reshape(-1)
-        v = np.concatenate([first, np.zeros(second.size)])
-        w = np.concatenate([np.zeros(first.size), second])
-        return cls((np.outer(v, w) + np.outer(w, v)) / 2.0, first.size)
+        `second` on the other; leading axes are batch axes."""
+        first = np.asarray(first, dtype=complex)
+        second = np.asarray(second, dtype=complex)
+        n1, n2 = first.shape[-1], second.shape[-1]
+        v = np.concatenate([first, np.zeros(first.shape[:-1] + (n2,))], axis=-1)
+        w = np.concatenate([np.zeros(second.shape[:-1] + (n1,)), second], axis=-1)
+        outer_vw = v[..., :, None] * w[..., None, :]
+        outer_wv = w[..., :, None] * v[..., None, :]
+        return cls((outer_vw + outer_wv) / 2.0, n1)
 
     @classmethod
     def pair_basis(cls, n: int, split: int, p: int, q: int) -> "TwoPhotonState":
@@ -137,27 +140,37 @@ class TwoPhotonState:
 
 
 def evolve_two_photon(u: ModeUnitary, state: TwoPhotonState) -> TwoPhotonState:
-    if u.n_modes != state.coeff.shape[0]:
-        raise ValueError(f"{u.n_modes} modes vs {state.coeff.shape[0]}")
+    if u.n_modes != state.coeff.shape[-1]:
+        raise ValueError(f"{u.n_modes} modes vs {state.coeff.shape[-1]}")
     return TwoPhotonState(u.entries @ state.coeff @ u.entries.T, state.split)
 
 
 def postselect_coincidence(
     state: TwoPhotonState, min_probability: float = 1e-14
 ) -> tuple[PureState, float]:
-    """Keep one photon per port group and renormalize.
+    """Keep one photon per port group of one state and renormalize.
 
     Returns the surviving amplitudes as a two-subsystem register
     (first-group mode, second-group mode) together with the kept
     probability mass.
     """
-    n = state.coeff.shape[0]
+    if state.coeff.ndim != 2:
+        raise ValueError(f"postselect_coincidence takes one state, got a batch {state.coeff.shape[:-2]}")
+    register, prob = _coincidence(state, min_probability)
+    return register, float(prob)
+
+
+def _coincidence(state: TwoPhotonState, min_probability: float = 1e-14):
+    """postselect_coincidence over a batch: the kept mass is an array with
+    one entry per word, and the lowest word below the cutoff is reported."""
+    n = state.coeff.shape[-1]
     s = state.split
-    block = 2.0 * state.coeff[:s, s:]
-    prob = float(np.sum(np.abs(block) ** 2))
-    if prob < min_probability:
-        raise ValueError(f"coincidence probability {prob:.3e} below cutoff")
-    return PureState((s, n - s), block / np.sqrt(prob)), prob
+    block = 2.0 * state.coeff[..., :s, s:]
+    prob = np.sum(np.abs(block) ** 2, axis=(-2, -1))
+    low = np.flatnonzero(prob < min_probability)
+    if low.size:
+        raise ValueError(f"coincidence probability {prob.flat[low[0]]:.3e} below cutoff")
+    return PureState((s, n - s), block / np.sqrt(prob)[..., None, None]), prob
 
 
 def smr_abstract(x: int, y: int, triggers, d: int) -> PhotonConfig:
@@ -207,7 +220,8 @@ def build_smr_mesh(d: int, triggers) -> ModeUnitary:
 
 
 def route_with_ancilla(qudit: PureState, ancilla: PureState, triggers) -> TwoPhotonState:
-    """Send the qudit photon and its ancilla photon through the router.
+    """Send the qudit photon and its ancilla photon through the router,
+    word by word for batched registers.
 
     Trigger rail i of the qudit couples to ancilla rail i; the last
     ancilla rail is the pass mode and never couples.
@@ -218,6 +232,8 @@ def route_with_ancilla(qudit: PureState, ancilla: PureState, triggers) -> TwoPho
         raise ValueError(
             f"ancilla dim {ancilla.dim} does not match {len(indices)} triggers"
         )
-    state = TwoPhotonState.product(qudit.amps.reshape(-1), ancilla.amps.reshape(-1))
+    state = TwoPhotonState.product(
+        qudit.amps.reshape(qudit.batch + (d,)), ancilla.amps.reshape(ancilla.batch + (-1,))
+    )
     mesh = pair_swap_mesh(d, ancilla.dim, [(c, i) for i, c in enumerate(indices)])
     return evolve_two_photon(mesh, state)

@@ -2,6 +2,11 @@
 
 Composite indices are big-endian throughout: subsystem 0 is the most
 significant digit, matching numpy's C-order reshape.
+
+A state or a unitary may carry leading batch axes in front of its
+register axes: a batch of independent words pushed through the same
+stages together. An unbatched one has batch (), and every stage below
+treats it exactly as a batch of one.
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ class PureState:
     """Amplitude tensor over a tuple of subsystem dimensions.
 
     The norm is deliberately unconstrained: post-selection intermediates
-    are legal values.
+    are legal values. Axes of `amps` in front of a trailing `dims`-shaped
+    block are batch axes; any other shape of the right size is reshaped
+    to `dims`.
     """
 
     dims: tuple[int, ...]
@@ -32,9 +39,14 @@ class PureState:
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"bad dims {self.dims!r}")
         amps = np.asarray(self.amps, dtype=complex)
-        if amps.size != math.prod(dims):
+        lead = amps.ndim - len(dims)
+        if lead > 0 and amps.shape[lead:] == dims:
+            shape = amps.shape
+        elif amps.size == math.prod(dims):
+            shape = dims
+        else:
             raise ValueError(f"amplitude count {amps.size} does not fit dims {dims}")
-        amps = amps.reshape(dims).copy()
+        amps = amps.reshape(shape).copy()
         amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
@@ -48,12 +60,19 @@ class PureState:
         return cls(dims, amps)
 
     @property
+    def batch(self) -> tuple[int, ...]:
+        return self.amps.shape[: self.amps.ndim - len(self.dims)]
+
+    @property
     def dim(self) -> int:
         return math.prod(self.dims)
 
     @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+    def norm(self) -> float | np.ndarray:
+        """The norm, one per word for a batched state."""
+        if not self.batch:
+            return float(np.linalg.norm(self.amps))
+        return np.linalg.norm(self.amps.reshape(self.batch + (-1,)), axis=-1)
 
     def normalized(self) -> "PureState":
         n = self.norm
@@ -64,17 +83,21 @@ class PureState:
 
 @dataclass(frozen=True)
 class Unitary:
-    """A unitary matrix, optionally bound to subsystem positions via on()."""
+    """A unitary matrix, optionally bound to subsystem positions via on().
+
+    Leading axes of `entries` hold one matrix per word of a batch."""
 
     entries: np.ndarray = field(repr=False)
     targets: tuple[int, ...] | None = None
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        if entries.ndim < 2 or entries.shape[-2] != entries.shape[-1]:
             raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-        n = entries.shape[0]
-        if not np.allclose(entries.conj().T @ entries, np.eye(n), atol=UNITARITY_ATOL):
+        n = entries.shape[-1]
+        if not np.allclose(
+            entries.conj().swapaxes(-2, -1) @ entries, np.eye(n), atol=UNITARITY_ATOL
+        ):
             raise ValueError("matrix is not unitary within tolerance")
         entries = entries.copy()
         entries.setflags(write=False)
@@ -84,7 +107,7 @@ class Unitary:
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
     def on(self, *targets: int) -> "Unitary":
         """The same matrix bound to subsystem positions. The copy shares the
@@ -95,16 +118,19 @@ class Unitary:
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
-    return PureState(a.dims + b.dims, np.tensordot(a.amps, b.amps, axes=0))
+    if not (a.batch or b.batch):
+        return PureState(a.dims + b.dims, np.tensordot(a.amps, b.amps, axes=0))
+    # np.tensordot has no batch axis: one outer product per word by broadcasting
+    left = a.amps.reshape(a.amps.shape + (1,) * len(b.dims))
+    right = b.amps.reshape(b.batch + (1,) * len(a.dims) + b.dims)
+    return PureState(a.dims + b.dims, left * right)
 
 
 def apply(u: Unitary, state: PureState) -> PureState:
-    """Apply u to the subsystems named by u.targets (whole register if unset)."""
-    if u.targets is None:
-        if u.dim != state.dim:
-            raise ValueError(f"unitary dim {u.dim} vs register dim {state.dim}")
-        return PureState(state.dims, u.entries @ state.amps.reshape(-1))
-    targets = u.targets
+    """Apply u to the subsystems named by u.targets (whole register if unset).
+
+    Batch axes pass through; a batched u applies its own matrix to each word."""
+    targets = tuple(range(len(state.dims))) if u.targets is None else u.targets
     if len(set(targets)) != len(targets):
         raise ValueError(f"repeated targets {targets}")
     if any(t < 0 or t >= len(state.dims) for t in targets):
@@ -112,12 +138,12 @@ def apply(u: Unitary, state: PureState) -> PureState:
     dt = math.prod(state.dims[t] for t in targets)
     if u.dim != dt:
         raise ValueError(f"unitary dim {u.dim} does not match target dims product {dt}")
-    moved = np.moveaxis(state.amps, targets, range(len(targets)))
-    rest = moved.shape[len(targets):]
-    out = (u.entries @ moved.reshape(dt, -1)).reshape(
-        tuple(state.dims[t] for t in targets) + rest
-    )
-    return PureState(state.dims, np.moveaxis(out, range(len(targets)), targets))
+    batch = state.batch
+    axes = [len(batch) + t for t in targets]
+    front = range(len(batch), len(batch) + len(targets))
+    moved = np.moveaxis(state.amps, axes, front)
+    out = (u.entries @ moved.reshape(batch + (dt, -1))).reshape(moved.shape)
+    return PureState(state.dims, np.moveaxis(out, front, axes))
 
 
 def permute_subsystems(state: PureState, order: tuple[int, ...]) -> PureState:
@@ -125,19 +151,25 @@ def permute_subsystems(state: PureState, order: tuple[int, ...]) -> PureState:
     if sorted(order) != list(range(len(state.dims))):
         raise ValueError(f"{order} is not a permutation of the subsystems")
     dims = tuple(state.dims[i] for i in order)
-    return PureState(dims, state.amps.transpose(order))
+    nb = len(state.batch)
+    return PureState(dims, state.amps.transpose(tuple(range(nb)) + tuple(nb + i for i in order)))
 
 
 def truncate_subsystem(state: PureState, sub: int, new_dim: int, atol: float = 1e-12) -> PureState:
-    """Drop the high levels of one subsystem; the discarded mass must be tiny."""
+    """Drop the high levels of one subsystem; the discarded mass must be tiny
+    in every word, and the lowest word that breaks this is reported."""
     if not 0 < new_dim <= state.dims[sub]:
         raise ValueError(f"cannot truncate dim {state.dims[sub]} to {new_dim}")
-    sl = [slice(None)] * len(state.dims)
-    sl[sub] = slice(new_dim, None)
-    discarded = float(np.linalg.norm(state.amps[tuple(sl)]))
-    if discarded > atol:
-        raise ValueError(f"truncation would discard amplitude mass {discarded:.3e}")
-    sl[sub] = slice(0, new_dim)
+    batch = state.batch
+    sl = [slice(None)] * (len(batch) + len(state.dims))
+    sl[len(batch) + sub] = slice(new_dim, None)
+    discarded = np.linalg.norm(state.amps[tuple(sl)].reshape(batch + (-1,)), axis=-1)
+    over = np.flatnonzero(discarded > atol)
+    if over.size:
+        raise ValueError(
+            f"truncation would discard amplitude mass {discarded.flat[over[0]]:.3e}"
+        )
+    sl[len(batch) + sub] = slice(0, new_dim)
     dims = list(state.dims)
     dims[sub] = new_dim
     return PureState(tuple(dims), state.amps[tuple(sl)])

@@ -7,12 +7,18 @@ They differ in how the flag is attached. The state-dependent router
 entangles it in one shot using an ancilla photon matched to the input;
 the state-independent ladder builds it from one two-level gate per
 trigger level and works for any (entangled) input.
+
+Each scheme has one core that runs a batch of inputs, a leading word axis
+on its states, a slice of words at a time; the public functions run it
+on a single input, a batch of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -21,14 +27,14 @@ from .mcz import (
     BsmOutcome,
     TriggerSet,
     _as_trigger_set,
+    _bell_outcomes,
     ancilla_flag_unitary,
-    bell_measurement,
     correction_unitary,
     multi_level_cz,
     prepare_ancillas,
     trigger_pattern,
 )
-from .optics import postselect_coincidence, route_with_ancilla
+from .optics import _coincidence, route_with_ancilla
 from .qstate import (
     NORM_ATOL,
     PureState,
@@ -55,7 +61,8 @@ _CORRECTIONS = {
 
 @dataclass(frozen=True)
 class BranchOutcome:
-    """One heralded fusion outcome after its sign correction."""
+    """One heralded fusion outcome after its sign correction. From a
+    scheme core its probability and output carry the slice's word axis."""
 
     label: str
     probability: float
@@ -94,8 +101,50 @@ def success_probability(scheme: str, k1: int, k2: int, model: BsmModel | None = 
 def _require_register(state: PureState, who: str):
     if len(state.dims) != 1:
         raise ValueError(f"{who} must be a single register, got dims {state.dims}")
-    if abs(state.norm - 1.0) > NORM_ATOL:
+    if np.any(np.abs(state.norm - 1.0) > NORM_ATOL):
         raise ValueError(f"{who} is not normalized")
+
+
+def _one_input(*states: PureState):
+    for state in states:
+        if state.batch:
+            raise ValueError(f"a scheme call takes one input, got a batch {state.batch}")
+
+
+def _first_off(values, target: float) -> float | None:
+    """The lowest word's value that is off its target, if any is."""
+    off = np.flatnonzero(np.abs(np.asarray(values) - target) > PROBABILITY_ATOL)
+    return float(np.ravel(values)[off[0]]) if off.size else None
+
+
+def _by_slice(
+    run: Callable[..., SchemeResult], states: list[PureState], per_word: int
+) -> Iterator[SchemeResult]:
+    """Run the scheme on the words of `states` a slice at a time.
+
+    `per_word` is the scheme's working memory for one word, in amplitudes.
+    A slice holds as many words as fit it within the amplitudes of the
+    whole batch's (words, d1, d2) product register, the one the dense
+    backends build; an unbatched input is one slice. When a check fails,
+    the slice is replayed word by word, so the error raised is the lowest
+    failing word's own.
+    """
+    if not states[0].batch:
+        yield run(*states)
+        return
+    words, d1d2 = states[0].batch[0], math.prod(s.dim for s in states)
+    step = max(1, words * d1d2 // per_word)
+    for lo in range(0, words, step):
+        yield _run_words(run, states, lo, min(lo + step, words))
+
+
+def _run_words(run: Callable[..., SchemeResult], states: list[PureState], lo: int, hi: int):
+    try:
+        return run(*(PureState(s.dims, s.amps[lo:hi]) for s in states))
+    except (ValueError, ArithmeticError):
+        for w in range(lo, hi):
+            run(*(PureState(s.dims, s.amps[w : w + 1]) for s in states))
+        raise
 
 
 def _feedforward(
@@ -123,7 +172,7 @@ def _fuse(
 ) -> tuple[list[BsmOutcome], tuple[BranchOutcome, ...], float]:
     """Bell-fuse the two flag qubits (subsystems 2 and 3) and correct."""
     fused = apply(hadamard().on(3), flagged)
-    outcomes = bell_measurement(fused, model)
+    outcomes = _bell_outcomes(fused, model)
     heralded = sum(o.probability for o in outcomes if o.label != "fail")
     return outcomes, _feedforward(outcomes, t1, t2), heralded
 
@@ -140,15 +189,46 @@ def run_state_dependent(
     The routers need ancilla photons shaped like the inputs' trigger
     patterns, which is what makes this variant state-dependent.
     """
-    model = model or BsmModel.linear_optics()
+    _one_input(psi1, psi2)
+    (result,) = _run_state_dependent(psi1, psi2, c1, c2, model or BsmModel.linear_optics())
+    return result
+
+
+def _run_state_dependent(
+    psi1: PureState, psi2: PureState, c1, c2, model: BsmModel
+) -> Iterator[SchemeResult]:
+    """The router scheme on a batch of product inputs: psi1 and psi2 carry
+    one word per entry of their leading axis. Yields one SchemeResult per
+    slice of words."""
     _require_register(psi1, "psi1")
     _require_register(psi2, "psi2")
     t1 = _as_trigger_set(c1, psi1.dim)
     t2 = _as_trigger_set(c2, psi2.dim)
+    expected = success_probability("state-dependent", len(t1), len(t2), model)
+    d1, d2, k1, k2 = t1.dim, t2.dim, len(t1), len(t2)
+    # the largest of: the joint register before truncation, a router's
+    # two-photon matrix, and the flagged register beside its fused image
+    per_word = max(
+        d1 * d2 * (k1 + 1) * (k2 + 1), (d1 + k1 + 1) ** 2, (d2 + k2 + 1) ** 2, 8 * d1 * d2
+    )
 
+    def run(psi1: PureState, psi2: PureState) -> SchemeResult:
+        return _route_flag_fuse(psi1, psi2, t1, t2, model, expected)
+
+    return _by_slice(run, [psi1, psi2], per_word)
+
+
+def _route_flag_fuse(
+    psi1: PureState,
+    psi2: PureState,
+    t1: TriggerSet,
+    t2: TriggerSet,
+    model: BsmModel,
+    expected: Fraction,
+) -> SchemeResult:
     anc1, anc2 = prepare_ancillas(psi1, psi2, t1, t2)
-    reg1, p1 = postselect_coincidence(route_with_ancilla(psi1, anc1, t1))
-    reg2, p2 = postselect_coincidence(route_with_ancilla(psi2, anc2, t2))
+    reg1, p1 = _coincidence(route_with_ancilla(psi1, anc1, t1))
+    reg2, p2 = _coincidence(route_with_ancilla(psi2, anc2, t2))
 
     joint = permute_subsystems(tensor(reg1, reg2), (0, 2, 1, 3))
     pat1, _ = trigger_pattern(psi1, t1)
@@ -160,9 +240,8 @@ def run_state_dependent(
     resource = truncate_subsystem(joint, 3, 2)
 
     outcomes, branches, heralded = _fuse(resource, t1, t2, model)
-    expected = success_probability("state-dependent", len(t1), len(t2), model)
-    measured = p1 * p2 * heralded
-    if abs(measured - float(expected)) > PROBABILITY_ATOL:
+    measured = _first_off(p1 * p2 * heralded, float(expected))
+    if measured is not None:
         raise ArithmeticError(
             f"measured success {measured!r} deviates from {expected} by more than "
             f"{PROBABILITY_ATOL}"
@@ -239,10 +318,20 @@ def run_state_independent_joint(
 ) -> SchemeResult:
     """State-independent pipeline on an arbitrary (possibly entangled)
     two-register state."""
-    model = model or BsmModel.linear_optics()
+    _one_input(joint)
+    (result,) = _run_state_independent(joint, c1, c2, mode, model or BsmModel.linear_optics())
+    return result
+
+
+def _run_state_independent(
+    joint: PureState, c1, c2, mode: str, model: BsmModel
+) -> Iterator[SchemeResult]:
+    """The flag-ladder scheme on a batch of two-register inputs, one word
+    per entry of the leading axis. Yields one SchemeResult per slice of
+    words."""
     if len(joint.dims) != 2:
         raise ValueError(f"need a two-register state, got dims {joint.dims}")
-    if abs(joint.norm - 1.0) > NORM_ATOL:
+    if np.any(np.abs(joint.norm - 1.0) > NORM_ATOL):
         raise ValueError("input is not normalized")
     if mode not in ("fast", "faithful"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -255,20 +344,46 @@ def run_state_independent_joint(
             return verified_two_level_cz(d, s)
         return multi_level_cz(d, 2, (s,), (1,))
 
-    reg = tensor(joint, PureState.basis((2, 2), (0, 0)))
-    for qsub, fsub, ts in ((0, 2, t1), (1, 3, t2)):
-        reg = apply(hadamard().on(fsub), reg)
+    # a ladder's two-level gates are diagonal on (register, flag), so each
+    # side's ladder is one sign pattern, laid out on axes (d1, d2, f1, f2)
+    ladders = []
+    for ts in (t1, t2):
+        signs = np.ones(2 * ts.dim)
         for s in ts:
-            reg = apply(two_level(reg.dims[qsub], s).on(qsub, fsub), reg)
+            signs = signs * two_level(ts.dim, s).entries.diagonal().real
+        ladders.append(signs.reshape(ts.dim, 2))
+    ladders = [ladders[0][:, None, :, None], ladders[1][:, None, :]]
+    expected = success_probability("state-independent", len(t1), len(t2), model)
+
+    def run(joint: PureState) -> SchemeResult:
+        return _ladder_fuse(joint, t1, t2, ladders, model, expected)
+
+    # the (d1, d2, 2, 2) flag register beside its image under each gate, and
+    # beside the fused register it is measured from
+    return _by_slice(run, [joint], 8 * d1 * d2)
+
+
+def _ladder_fuse(
+    joint: PureState,
+    t1: TriggerSet,
+    t2: TriggerSet,
+    ladders: list[np.ndarray],
+    model: BsmModel,
+    expected: Fraction,
+) -> SchemeResult:
+    reg = tensor(joint, PureState.basis((2, 2), (0, 0)))
+    for fsub, signs in zip((2, 3), ladders):
+        reg = apply(hadamard().on(fsub), reg)
+        reg = PureState(reg.dims, reg.amps * signs)
         reg = apply(hadamard().on(fsub), reg)
 
     outcomes, branches, heralded = _fuse(reg, t1, t2, model)
-    expected = success_probability("state-independent", len(t1), len(t2), model)
     # the flag ladder's gate successes are accounted in the formula; the
     # simulated fusion must still carry its share of the mass
-    if abs(heralded - len(model.heralds) / 4.0) > PROBABILITY_ATOL:
+    herald_mass = _first_off(heralded, len(model.heralds) / 4.0)
+    if herald_mass is not None:
         raise ArithmeticError(
-            f"fusion herald mass {heralded!r} deviates from {len(model.heralds)}/4"
+            f"fusion herald mass {herald_mass!r} deviates from {len(model.heralds)}/4"
         )
     k = len(t1) + len(t2)
     return SchemeResult(
