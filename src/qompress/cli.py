@@ -100,6 +100,9 @@ def cmd_verify(args) -> int:
     for flag, dim in (("--d1", args.d1), ("--d2", args.d2)):
         if dim < 2:
             raise UsageError(f"{flag} must be at least 2, got {dim}")
+    trials = args.trials
+    if trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {trials}")
     c1 = _parse_levels(args.c1, "--c1")
     c2 = _parse_levels(args.c2, "--c2")
     try:
@@ -111,7 +114,6 @@ def cmd_verify(args) -> int:
     gate = multi_level_cz(args.d1, args.d2, t1, t2)
 
     rng = np.random.default_rng(seed)
-    trials = 20
     min_fidelity = 1.0
     tally: dict[str, int] = {}
     result = None
@@ -432,6 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--c2", default="1", help="comma-separated trigger levels of register 2")
     verify.add_argument("--scheme", choices=SCHEMES, default="state-dependent")
     verify.add_argument("--model", choices=("linear-optics", "ideal"), default="linear-optics")
+    verify.add_argument("--trials", type=int, default=20, help="random product inputs to check")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--seed", type=int, default=None)
 

@@ -15,17 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from importlib import resources
+from operator import attrgetter
 
 import numpy as np
 
 from .mcz import BsmModel, TriggerSet, correction_unitary, multi_level_cz
 from .qstate import PureState, apply, hadamard
-from .schemes import (
-    SchemeResult,
-    _run_state_dependent,
-    _run_state_independent,
-    success_probability,
-)
+from .schemes import _run_state_dependent, _run_state_independent, success_probability
 
 BACKENDS = ("uncompressed", "standard", "state-dependent", "state-independent")
 
@@ -338,10 +334,6 @@ def _hadamard_on(factors: list[np.ndarray], layout: QuditLayout, qubit: int):
     factors[g] = apply(hadamard().on(1 + group.index(qubit)), state).amps.reshape(len(factor), -1)
 
 
-def _output_amps(result: SchemeResult) -> np.ndarray:
-    return result.output.amps
-
-
 def _refactor(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split each (d1, d2) slice of a stacked joint state into its two factors."""
     u, s, vh = np.linalg.svd(joint)
@@ -367,7 +359,8 @@ def simulate_compressed(
     All words run together, one gate at a time: each group holds one
     (words, 2^w) factor. Every gate but `h` is a sign flip on the levels
     where all its operands are set, inside a Hadamard on the target for
-    x-kinds. A failure is raised at the earliest gate where any word
+    x-kinds. The scheme backends run their scheme once per crossing, with
+    the words as its batch. A failure is raised at the earliest gate where any word
     fails, for the lowest such word; the final basis-word readout counts
     as coming after the last gate. The state-dependent refusal comes
     first, before any gate runs.
@@ -405,20 +398,7 @@ def simulate_compressed(
             deriv = trigger_sets(gate, layout)
             g1, g2 = deriv.groups
             d1, d2 = deriv.first.dim, deriv.second.dim
-            # a scheme runs once per crossing, over the words as its batch
-            if backend == "state-dependent":
-                runs = _run_state_dependent(
-                    PureState((d1,), factors[g1]), PureState((d2,), factors[g2]),
-                    deriv.first, deriv.second, BsmModel.linear_optics(),
-                )
-                joint = np.concatenate(list(map(_output_amps, runs)))
-            elif backend == "state-independent":
-                runs = _run_state_independent(
-                    PureState((d1, d2), factors[g1][:, :, None] * factors[g2][:, None, :]),
-                    deriv.first, deriv.second, "fast", BsmModel.linear_optics(),
-                )
-                joint = np.concatenate(list(map(_output_amps, runs)))
-            else:
+            if backend in ("uncompressed", "standard"):
                 # no names for the gate and the product: both are freed before the SVD
                 joint = apply(
                     multi_level_cz(d1, d2, deriv.first, deriv.second).on(1, 2),
@@ -426,6 +406,21 @@ def simulate_compressed(
                         (len(words), d1, d2), factors[g1][:, :, None] * factors[g2][:, None, :]
                     ),
                 ).amps
+            else:
+                if backend == "state-dependent":
+                    runs = _run_state_dependent(
+                        PureState((d1,), factors[g1]), PureState((d2,), factors[g2]),
+                        deriv.first, deriv.second, BsmModel.linear_optics(),
+                    )
+                else:
+                    runs = _run_state_independent(
+                        PureState((d1, d2), factors[g1][:, :, None] * factors[g2][:, None, :]),
+                        deriv.first, deriv.second, "fast", BsmModel.linear_optics(),
+                    )
+                # the scheme runs once per crossing over all words and hands them
+                # back a slice at a time; map holds no finished slice's result
+                # while the next slice runs
+                joint = np.concatenate(list(map(attrgetter("output.amps"), runs)))
             factors[g1], factors[g2] = _refactor(joint.reshape(-1, d1, d2))
         if gate.is_x_kind:
             _hadamard_on(factors, layout, gate.target)

@@ -120,7 +120,8 @@ class Unitary:
 def tensor(a: PureState, b: PureState) -> PureState:
     if not (a.batch or b.batch):
         return PureState(a.dims + b.dims, np.tensordot(a.amps, b.amps, axes=0))
-    # np.tensordot has no batch axis: one outer product per word by broadcasting
+    # np.tensordot cannot carry a batch axis, so a batch takes one outer
+    # product per word by broadcasting; single states keep tensordot's digits
     left = a.amps.reshape(a.amps.shape + (1,) * len(b.dims))
     right = b.amps.reshape(b.batch + (1,) * len(a.dims) + b.dims)
     return PureState(a.dims + b.dims, left * right)

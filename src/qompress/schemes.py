@@ -23,6 +23,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .mcz import (
+    BELL_LABELS,
     BsmModel,
     BsmOutcome,
     TriggerSet,
@@ -212,10 +213,11 @@ def _run_state_dependent(
         d1 * d2 * (k1 + 1) * (k2 + 1), (d1 + k1 + 1) ** 2, (d2 + k2 + 1) ** 2, 8 * d1 * d2
     )
 
-    def run(psi1: PureState, psi2: PureState) -> SchemeResult:
-        return _route_flag_fuse(psi1, psi2, t1, t2, model, expected)
-
-    return _by_slice(run, [psi1, psi2], per_word)
+    return _by_slice(
+        lambda psi1, psi2: _route_flag_fuse(psi1, psi2, t1, t2, model, expected),
+        [psi1, psi2],
+        per_word,
+    )
 
 
 def _route_flag_fuse(
@@ -287,20 +289,13 @@ def verified_two_level_cz(d: int, s: int) -> Unitary:
     if cached is not None:
         return cached
     logical = multi_level_cz(d, 2, (s,), (1,))
-    assembled = {label: np.zeros((2 * d, 2 * d), dtype=complex) for label in _CORRECTIONS}
-    for m in range(d):
-        for f in range(2):
-            res = run_state_dependent(
-                PureState.basis((d,), (m,)),
-                PureState.basis((2,), (f,)),
-                (s,),
-                (1,),
-                model=BsmModel.ideal(),
-            )
-            for br in res.branches:
-                assembled[br.label][:, 2 * m + f] = br.output.amps.reshape(-1)
-    for label, mat in assembled.items():
-        if not np.allclose(mat, logical.entries, atol=1e-10):
+    # one word per basis pair (m, f), in the matrix's column order 2m + f
+    registers = PureState((d,), np.repeat(np.eye(d), 2, axis=0))
+    flags = PureState((2,), np.tile(np.eye(2), (d, 1)))
+    slices = list(_run_state_dependent(registers, flags, (s,), (1,), BsmModel.ideal()))
+    for i, label in enumerate(BELL_LABELS):
+        columns = np.concatenate([res.branches[i].output.amps for res in slices])
+        if not np.allclose(columns.reshape(2 * d, 2 * d).T, logical.entries, atol=1e-10):
             raise ArithmeticError(
                 f"optical realization of the ({d},{s}) two-level gate disagrees "
                 f"with the logical matrix on branch {label}"
@@ -355,12 +350,11 @@ def _run_state_independent(
     ladders = [ladders[0][:, None, :, None], ladders[1][:, None, :]]
     expected = success_probability("state-independent", len(t1), len(t2), model)
 
-    def run(joint: PureState) -> SchemeResult:
-        return _ladder_fuse(joint, t1, t2, ladders, model, expected)
-
     # the (d1, d2, 2, 2) flag register beside its image under each gate, and
     # beside the fused register it is measured from
-    return _by_slice(run, [joint], 8 * d1 * d2)
+    return _by_slice(
+        lambda joint: _ladder_fuse(joint, t1, t2, ladders, model, expected), [joint], 8 * d1 * d2
+    )
 
 
 def _ladder_fuse(

@@ -46,6 +46,29 @@ class TestVerify:
         assert out == ""
         assert err == f"error: {flag} must be at least 2, got {dim}\n"
 
+    def test_trials_flag_sets_the_input_count(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--trials", "3"])
+        assert code == 0
+        assert "min branch fidelity over 3 random inputs" in out
+        code, out, _ = run(capsys, ["verify", "--trials", "7", "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["trials"] == 7
+        assert sum(payload["sampled_outcomes"].values()) == 7
+
+    def test_trials_defaults_to_twenty(self, capsys):
+        _, default, _ = run(capsys, ["verify", "--format", "json"])
+        _, explicit, _ = run(capsys, ["verify", "--format", "json", "--trials", "20"])
+        assert json.loads(default)["trials"] == 20
+        assert default == explicit
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one_is_usage_error(self, capsys, trials):
+        code, out, err = run(capsys, ["verify", "--trials", str(trials)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --trials must be at least 1, got {trials}\n"
+
     def test_malformed_trigger_list(self, capsys):
         code, _, err = run(capsys, ["verify", "--c1", "1,x"])
         assert code == 2

@@ -334,6 +334,23 @@ class TestSimulation:
         simulate_compressed(qfa_circuit(), qfa_layout(), "standard")
         assert calls == {"trigger_sets": 2, "multi_level_cz": 2}
 
+    @pytest.mark.parametrize("backend, core, circuit, crossings", [
+        ("state-independent", "_run_state_independent", qfa_circuit, 2),
+        ("state-dependent", "_run_state_dependent", benchmark_circuit, 1),
+    ])
+    def test_each_scheme_runs_once_per_crossing(self, monkeypatch, backend, core, circuit, crossings):
+        # one scheme call per crossing with every input word as its batch
+        batches = []
+
+        def counted(*args, _real=getattr(compress, core)):
+            batches.append(args[0].batch)
+            return _real(*args)
+
+        monkeypatch.setattr(compress, core, counted)
+        table = simulate_compressed(circuit(), qfa_layout(), backend)
+        assert batches == [(16,)] * crossings
+        assert table == simulate_compressed(circuit(), qfa_layout(), "standard")
+
     def test_entangling_circuit_rejected(self):
         circuit = CircuitIR(2, (Gate("h", (0,)), Gate("cx", (0, 1))))
         layout = QuditLayout(((0,), (1,)))
@@ -388,6 +405,43 @@ def test_every_backend_returns_the_classical_truth_table(case):
                 simulate_compressed(circuit, layout, backend)
         else:
             assert simulate_compressed(circuit, layout, backend) == want, backend
+
+
+@st.composite
+def grouped_circuits_with_h(draw):
+    """The grouped circuits above with lone h gates and h-sandwiched cz
+    spliced in, so the backends also see superposed group registers."""
+    circuit, layout = draw(classical_grouped_circuits())
+    gates = list(circuit.gates)
+    for _ in range(draw(st.integers(1, 3))):
+        control, target = draw(st.permutations(range(circuit.qubit_count)))[:2]
+        block = [Gate("h", (target,))]
+        if draw(st.integers(0, 2)):  # two blocks in three are an h-sandwiched cz
+            block += [Gate("cz", (control, target)), Gate("h", (target,))]
+        at = draw(st.integers(0, len(gates)))
+        gates[at:at] = block
+    return CircuitIR(circuit.qubit_count, tuple(gates)), layout
+
+
+def table_or_error(circuit: CircuitIR, layout: QuditLayout, backend: str):
+    try:
+        return simulate_compressed(circuit, layout, backend)
+    except (CompressionError, ValueError) as e:
+        return type(e)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(grouped_circuits_with_h())
+def test_every_backend_agrees_with_standard_on_circuits_with_h(case):
+    circuit, layout = case
+    want = table_or_error(circuit, layout, "standard")
+    crossings = sum(not t.local for t in classify_gates(circuit, layout))
+    for backend in BACKENDS:
+        if backend == "state-dependent" and crossings > 1:
+            with pytest.raises(CompressionError, match="no router ancilla"):
+                simulate_compressed(circuit, layout, backend)
+        else:
+            assert table_or_error(circuit, layout, backend) == want, backend
 
 
 class TestGateValidation:

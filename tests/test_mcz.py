@@ -204,6 +204,12 @@ class TestBellMeasurement:
         np.testing.assert_allclose(probs["fail"], 1.0, atol=1e-12)
         np.testing.assert_allclose(probs["psi-"], 0.0, atol=1e-12)
 
+    def test_takes_one_state(self):
+        front = PureState((2,), np.eye(2))
+        pair = PureState((2, 2), np.eye(4)[1].reshape(2, 2))
+        with pytest.raises(ValueError):
+            bell_measurement(tensor(front, pair), BsmModel.ideal())
+
     def test_conditional_states_normalized(self):
         rng = np.random.default_rng(23)
         front = PureState((3, 2), random_amplitudes(6, rng).reshape(3, 2))

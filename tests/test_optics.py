@@ -163,6 +163,11 @@ class TestPostselection:
             assert abs(state.norm - 1.0) < 1e-12
             assert 0.0 < prob <= 1.0
 
+    def test_takes_one_state(self):
+        batch = TwoPhotonState(np.stack([TwoPhotonState.pair_basis(4, 2, 0, 2).coeff] * 2), 2)
+        with pytest.raises(ValueError):
+            postselect_coincidence(batch)
+
     def test_zero_coincidence_rejected(self):
         # both photons on the first port group: no coincidence mass at all
         state = TwoPhotonState.pair_basis(4, 2, 0, 1)

@@ -165,6 +165,58 @@ class TestRegisterOps:
             fidelity_up_to_phase(s, PureState((4,), s.amps * 2.0))
 
 
+class TestBatches:
+    """Leading axes in front of the register axes are a batch of words;
+    every stage must act on each word as it acts on that word alone."""
+
+    def test_leading_axes_are_a_batch(self):
+        rng = np.random.default_rng(41)
+        amps = np.stack([random_state((2, 3), rng).amps * f for f in (1.0, 2.0)])
+        s = PureState((2, 3), amps)
+        assert s.batch == (2,)
+        assert s.amps.shape == (2, 2, 3)
+        np.testing.assert_allclose(s.norm, [1.0, 2.0], atol=1e-12)
+        assert PureState((2, 3), amps[0]).batch == ()
+
+    def test_apply_acts_word_by_word(self):
+        rng = np.random.default_rng(43)
+        dims = (2, 3, 2)
+        words = [random_state(dims, rng) for _ in range(3)]
+        batch = PureState(dims, np.stack([w.amps for w in words]))
+        shared = Unitary(haar_unitary(4, rng)).on(2, 0)
+        own = Unitary(np.stack([haar_unitary(3, rng) for _ in words])).on(1)
+        for u in (shared, own, Unitary(haar_unitary(12, rng))):
+            got = apply(u, batch).amps
+            for w, word in enumerate(words):
+                single = u if u.entries.ndim == 2 else Unitary(u.entries[w]).on(*u.targets)
+                np.testing.assert_allclose(got[w], apply(single, word).amps, atol=1e-12)
+
+    def test_tensor_and_permute_act_word_by_word(self):
+        rng = np.random.default_rng(47)
+        firsts = [random_state((2,), rng) for _ in range(3)]
+        seconds = [random_state((3,), rng) for _ in range(3)]
+        a = PureState((2,), np.stack([f.amps for f in firsts]))
+        b = PureState((3,), np.stack([s.amps for s in seconds]))
+        for got, want in (
+            (tensor(a, b).amps, [tensor(f, s).amps for f, s in zip(firsts, seconds)]),
+            (tensor(a, seconds[0]).amps, [tensor(f, seconds[0]).amps for f in firsts]),
+            (tensor(firsts[0], b).amps, [tensor(firsts[0], s).amps for s in seconds]),
+            (permute_subsystems(tensor(a, b), (1, 0)).amps,
+             [tensor(s, f).amps for f, s in zip(firsts, seconds)]),
+        ):
+            np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_truncation_reports_the_lowest_failing_word(self):
+        amps = np.zeros((3, 2, 3))
+        amps[:, 0, 0] = 1.0
+        amps[1, 1, 2] = 0.25
+        amps[2, 0, 2] = 0.5
+        with pytest.raises(ValueError, match="2.500e-01"):
+            truncate_subsystem(PureState((2, 3), amps), 1, 2)
+        kept = truncate_subsystem(PureState((2, 3), amps[[0]]), 1, 2)
+        assert kept.batch == (1,) and kept.dims == (2, 2)
+
+
 def test_random_state_normalized():
     rng = np.random.default_rng(37)
     for _ in range(20):

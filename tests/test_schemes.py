@@ -11,6 +11,8 @@ from conftest import random_amplitudes, random_trigger_indices
 from qompress.mcz import BELL_LABELS, BsmModel, TriggerSet, multi_level_cz
 from qompress.qstate import PureState, apply, fidelity_up_to_phase, random_state, tensor
 from qompress.schemes import (
+    _run_state_dependent,
+    _run_state_independent,
     run_state_dependent,
     run_state_independent,
     run_state_independent_joint,
@@ -181,6 +183,77 @@ class TestStateIndependent:
         rng = np.random.default_rng(89)
         with pytest.raises(ValueError):
             run_state_independent_joint(random_state((2, 2), rng), (1,), (1,), mode="psychic")
+
+
+MODELS = pytest.mark.parametrize(
+    "model", [BsmModel.ideal(), BsmModel.linear_optics()], ids=["ideal", "linear-optics"]
+)
+
+
+class TestBatchedCores:
+    """A scheme core runs a stack of words a slice at a time. Every word
+    must come out as the logical gate, with the probabilities of its own
+    single call."""
+
+    @staticmethod
+    def check_words(slices, singles, wants):
+        # the stack spans several slices of several words each
+        assert len(slices) > 1 and len(slices[0].output.amps) > 1
+        assert [b.label for b in slices[0].branches] == [b.label for b in singles[0].branches]
+        outputs = [np.concatenate([s.branches[i].output.amps for s in slices])
+                   for i in range(len(slices[0].branches))]
+        branch_probs = [np.concatenate([s.branches[i].probability for s in slices])
+                        for i in range(len(slices[0].branches))]
+        outcome_probs = [np.concatenate([s.bsm_outcomes[i].probability for s in slices])
+                         for i in range(len(slices[0].bsm_outcomes))]
+        for w, (single, want) in enumerate(zip(singles, wants)):
+            for i, branch in enumerate(single.branches):
+                got = PureState(want.dims, outputs[i][w])
+                assert fidelity_up_to_phase(got, want) > 1 - 1e-10
+                np.testing.assert_allclose(branch_probs[i][w], branch.probability, atol=1e-12)
+            for i, outcome in enumerate(single.bsm_outcomes):
+                np.testing.assert_allclose(outcome_probs[i][w], outcome.probability, atol=1e-12)
+
+    @MODELS
+    def test_state_dependent_core(self, model):
+        rng = np.random.default_rng(97)
+        d1, d2, c1, c2 = 4, 3, (1, 3), (0,)
+        # basis words with no trigger weight take the uniform-pattern
+        # fallback; they sit among random words
+        firsts = [random_amplitudes(d1, rng) for _ in range(40)]
+        seconds = [random_amplitudes(d2, rng) for _ in range(40)]
+        for w, (m, n) in zip((0, 5, 6, 39), ((0, 1), (2, 2), (0, 2), (2, 1))):
+            firsts[w], seconds[w] = np.eye(d1)[m], np.eye(d2)[n]
+        psi1 = PureState((d1,), np.array(firsts))
+        psi2 = PureState((d2,), np.array(seconds))
+        slices = list(_run_state_dependent(psi1, psi2, c1, c2, model))
+        singles, wants = [], []
+        for a, b in zip(firsts, seconds):
+            pair = PureState((d1,), a), PureState((d2,), b)
+            singles.append(run_state_dependent(*pair, c1, c2, model))
+            wants.append(expected_output(tensor(*pair), c1, c2))
+        self.check_words(slices, singles, wants)
+
+    @MODELS
+    @pytest.mark.parametrize("mode", ["fast", "faithful"])
+    def test_state_independent_core(self, model, mode):
+        rng = np.random.default_rng(101)
+        d1, d2, c1, c2 = 3, 4, (2,), (0, 3)
+        joints = [random_amplitudes(d1 * d2, rng).reshape(d1, d2) for _ in range(40)]
+        joints[3] = np.eye(d1 * d2)[5].reshape(d1, d2)
+        joint = PureState((d1, d2), np.array(joints))
+        slices = list(_run_state_independent(joint, c1, c2, mode, model))
+        singles = [run_state_independent_joint(PureState((d1, d2), j), c1, c2, mode, model)
+                   for j in joints]
+        wants = [expected_output(PureState((d1, d2), j), c1, c2) for j in joints]
+        self.check_words(slices, singles, wants)
+
+    def test_single_calls_refuse_a_batch(self):
+        batch = PureState((2,), np.eye(2))
+        with pytest.raises(ValueError):
+            run_state_dependent(batch, batch, (1,), (1,))
+        with pytest.raises(ValueError):
+            run_state_independent_joint(PureState((2, 2), np.eye(4).reshape(4, 2, 2)), (1,), (1,))
 
 
 class TestVerifiedGate:
