@@ -164,7 +164,9 @@ def truncate_subsystem(state: PureState, sub: int, new_dim: int, atol: float = 1
     batch = state.batch
     sl = [slice(None)] * (len(batch) + len(state.dims))
     sl[len(batch) + sub] = slice(new_dim, None)
-    discarded = np.linalg.norm(state.amps[tuple(sl)].reshape(batch + (-1,)), axis=-1)
+    mass = np.abs(state.amps[tuple(sl)])
+    mass *= mass
+    discarded = np.sqrt(np.sum(mass, axis=tuple(range(len(batch), mass.ndim))))
     over = np.flatnonzero(discarded > atol)
     if over.size:
         raise ValueError(
