@@ -169,6 +169,9 @@ class BsmModel:
 
 @dataclass(frozen=True)
 class BsmOutcome:
+    """One analyzer outcome. From a batched state its probability holds
+    one entry per word and its state carries the word axis."""
+
     label: str
     probability: float
     state: PureState | None = field(repr=False, default=None)

@@ -155,7 +155,9 @@ def postselect_coincidence(
     probability mass.
     """
     if state.coeff.ndim != 2:
-        raise ValueError(f"postselect_coincidence takes one state, got a batch {state.coeff.shape[:-2]}")
+        raise ValueError(
+            f"postselect_coincidence takes one state, got a batch {state.coeff.shape[:-2]}"
+        )
     register, prob = _coincidence(state, min_probability)
     return register, float(prob)
 

@@ -339,15 +339,16 @@ def _run_state_independent(
             return verified_two_level_cz(d, s)
         return multi_level_cz(d, 2, (s,), (1,))
 
-    # a ladder's two-level gates are diagonal on (register, flag), so each
-    # side's ladder is one sign pattern, laid out on axes (d1, d2, f1, f2)
-    ladders = []
-    for ts in (t1, t2):
+    def ladder(ts: TriggerSet) -> np.ndarray:
+        # the two-level gates are diagonal on (register, flag), so a side's
+        # whole ladder is one sign pattern over (level, flag)
         signs = np.ones(2 * ts.dim)
         for s in ts:
-            signs = signs * two_level(ts.dim, s).entries.diagonal().real
-        ladders.append(signs.reshape(ts.dim, 2))
-    ladders = [ladders[0][:, None, :, None], ladders[1][:, None, :]]
+            signs *= two_level(ts.dim, s).entries.diagonal().real
+        return signs.reshape(ts.dim, 2)
+
+    # laid out on the flag register's axes (d1, d2, f1, f2)
+    ladders = [ladder(t1)[:, None, :, None], ladder(t2)[:, None, :]]
     expected = success_probability("state-independent", len(t1), len(t2), model)
 
     # the (d1, d2, 2, 2) flag register beside its image under each gate, and

@@ -338,7 +338,9 @@ class TestSimulation:
         ("state-independent", "_run_state_independent", qfa_circuit, 2),
         ("state-dependent", "_run_state_dependent", benchmark_circuit, 1),
     ])
-    def test_each_scheme_runs_once_per_crossing(self, monkeypatch, backend, core, circuit, crossings):
+    def test_each_scheme_runs_once_per_crossing(
+        self, monkeypatch, backend, core, circuit, crossings
+    ):
         # one scheme call per crossing with every input word as its batch
         batches = []
 
