@@ -12,7 +12,6 @@ from .compress import (
     QuditLayout,
     classify_gates,
     cost_report,
-    legality_state_dependent,
     parse_circuit,
     parse_layout,
     qfa_circuit,
@@ -60,10 +59,8 @@ from .schemes import (
     BranchOutcome,
     SchemeResult,
     run_state_dependent,
-    run_state_independent,
     run_state_independent_joint,
     success_probability,
-    trigger_flag_unitary,
     verified_two_level_cz,
 )
 

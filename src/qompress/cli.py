@@ -37,7 +37,6 @@ from .qstate import PureState, apply, fidelity_up_to_phase, random_state, tensor
 from .schemes import (
     SCHEMES,
     run_state_dependent,
-    run_state_independent,
     run_state_independent_joint,
     success_probability,
     verified_two_level_cz,
@@ -122,7 +121,7 @@ def cmd_verify(args) -> int:
         if args.scheme == "state-dependent":
             result = run_state_dependent(psi1, psi2, t1, t2, model)
         else:
-            result = run_state_independent(psi1, psi2, t1, t2, model=model)
+            result = run_state_independent_joint(tensor(psi1, psi2), t1, t2, model=model)
         expected = apply(gate, tensor(psi1, psi2))
         for branch in result.branches:
             min_fidelity = min(min_fidelity, fidelity_up_to_phase(branch.output, expected))
@@ -293,8 +292,8 @@ def run_claims(seed: int, heralds: frozenset[str] | None = None) -> list[Claim]:
                         "deviation <= 1e-10", repr(worst_router), worst_router <= 1e-10))
 
     # state-independent scheme
-    si = run_state_independent(
-        random_state((8,), rng), random_state((2,), rng), (3, 7), (1,), model=model_lo
+    si = run_state_independent_joint(
+        tensor(random_state((8,), rng), random_state((2,), rng)), (3, 7), (1,), model=model_lo
     )
     claims.append(_claim_eq("state-independent success probability, two plus one triggers",
                             "1/1024", _fraction_text(si.success_probability)))
@@ -307,7 +306,7 @@ def run_claims(seed: int, heralds: frozenset[str] | None = None) -> list[Claim]:
 
     # resource state structure
     psi1, psi2 = random_state((4,), rng), random_state((3,), rng)
-    res = run_state_independent(psi1, psi2, (1, 3), (0,), model=BsmModel.ideal())
+    res = run_state_independent_joint(tensor(psi1, psi2), (1, 3), (0,), model=BsmModel.ideal())
     expected = np.zeros((4, 3, 2, 2), dtype=complex)
     for m in range(4):
         for n in range(3):

@@ -19,7 +19,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .mcz import BsmModel, TriggerSet, correction_unitary, multi_level_cz
+from .mcz import BsmModel, TriggerSet, _signs
 from .qstate import PureState, apply, hadamard
 from .schemes import _run_state_dependent, _run_state_independent, success_probability
 
@@ -237,16 +237,6 @@ def trigger_sets(gate: Gate, layout: QuditLayout) -> TriggerDerivation:
     return TriggerDerivation(first, second, (r1, r2), (g1, g2))
 
 
-def legality_state_dependent(circuit: CircuitIR, index: int, layout: QuditLayout) -> bool:
-    """A router ancilla can only be matched to a known product input, so a
-    two-group gate is runnable exactly when no earlier gate already
-    coupled groups."""
-    tags = classify_gates(circuit, layout)
-    if tags[index].local:
-        raise ValueError(f"gate {index} is local; legality applies to two-group gates")
-    return all(t.local for t in tags[:index])
-
-
 @dataclass(frozen=True)
 class BackendCost:
     backend: str
@@ -392,20 +382,17 @@ def simulate_compressed(
             _hadamard_on(factors, layout, gate.target)
         if tag.local:
             g = tag.groups[0]
-            sign = correction_unitary(_group_triggers(gate, layout, g)[0])
-            factors[g] = apply(sign.on(1), PureState(factors[g].shape, factors[g])).amps
+            factors[g] = factors[g] * _signs(_group_triggers(gate, layout, g)[0])
         else:
             deriv = trigger_sets(gate, layout)
             g1, g2 = deriv.groups
             d1, d2 = deriv.first.dim, deriv.second.dim
             if backend in ("uncompressed", "standard"):
-                # no names for the gate and the product: both are freed before the SVD
-                joint = apply(
-                    multi_level_cz(d1, d2, deriv.first, deriv.second).on(1, 2),
-                    PureState(
-                        (len(words), d1, d2), factors[g1][:, :, None] * factors[g2][:, None, :]
-                    ),
-                ).amps
+                # no name for the product: it is freed before the SVD
+                joint = (
+                    factors[g1][:, :, None] * factors[g2][:, None, :]
+                    * _signs(deriv.first, deriv.second)
+                )
             else:
                 if backend == "state-dependent":
                     runs = _run_state_dependent(

@@ -66,15 +66,19 @@ def _as_trigger_set(triggers, dim: int) -> TriggerSet:
     return TriggerSet(tuple(triggers), dim)
 
 
+def _signs(*triggers: TriggerSet) -> np.ndarray:
+    """The sign gate over one register per trigger set, as a ±1 array of
+    shape (d1, d2, ...): -1 exactly where every register sits on one of
+    its trigger levels. Every sign gate of the package is this array;
+    internal callers multiply by it and build no matrix."""
+    signs = np.ones(tuple(t.dim for t in triggers))
+    signs[np.ix_(*(t.indices for t in triggers))] = -1.0
+    return signs
+
+
 def multi_level_cz(d1: int, d2: int, c1, c2) -> Unitary:
     """Sign flip exactly on the product of the two trigger sets."""
-    t1 = _as_trigger_set(c1, d1)
-    t2 = _as_trigger_set(c2, d2)
-    diag = np.ones(d1 * d2)
-    for m in t1:
-        for n in t2:
-            diag[m * d2 + n] = -1.0
-    return Unitary(np.diag(diag))
+    return Unitary._diagonal(_signs(_as_trigger_set(c1, d1), _as_trigger_set(c2, d2)))
 
 
 def two_level_cz(d: int) -> Unitary:
@@ -82,9 +86,7 @@ def two_level_cz(d: int) -> Unitary:
 
 
 def correction_unitary(triggers: TriggerSet) -> Unitary:
-    diag = np.ones(triggers.dim)
-    diag[list(triggers.indices)] = -1.0
-    return Unitary(np.diag(diag))
+    return Unitary._diagonal(_signs(triggers))
 
 
 def trigger_pattern(state: PureState, triggers: TriggerSet) -> tuple[np.ndarray, float]:

@@ -105,6 +105,17 @@ class Unitary:
         if self.targets is not None:
             object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
 
+    @classmethod
+    def _diagonal(cls, signs: np.ndarray) -> "Unitary":
+        """The diagonal matrix of a ±1 sign array, read in C order. It is
+        exactly unitary, so the unitarity check is skipped."""
+        entries = np.diag(np.ravel(signs)).astype(complex)
+        entries.setflags(write=False)
+        u = object.__new__(cls)
+        object.__setattr__(u, "entries", entries)
+        object.__setattr__(u, "targets", None)
+        return u
+
     @property
     def dim(self) -> int:
         return self.entries.shape[-1]

@@ -29,8 +29,8 @@ from .mcz import (
     TriggerSet,
     _as_trigger_set,
     _bell_outcomes,
+    _signs,
     ancilla_flag_unitary,
-    correction_unitary,
     multi_level_cz,
     prepare_ancillas,
     trigger_pattern,
@@ -58,6 +58,10 @@ _CORRECTIONS = {
     "psi+": (False, True),
     "psi-": (True, True),
 }
+
+# the flag qubit's trigger level: a two-level gate flips the sign where its
+# register sits on one trigger level and the flag on 1
+_FLAG = TriggerSet((1,), 2)
 
 
 @dataclass(frozen=True)
@@ -151,16 +155,16 @@ def _run_words(run: Callable[..., SchemeResult], states: list[PureState], lo: in
 def _feedforward(
     outcomes: list[BsmOutcome], t1: TriggerSet, t2: TriggerSet
 ) -> tuple[BranchOutcome, ...]:
+    # each register's correction, laid out on the (d1, d2) register axes
+    flips = (_signs(t1)[:, None], _signs(t2))
     branches = []
     for o in outcomes:
         if o.label == "fail" or o.state is None:
             continue
         out = o.state
-        fix1, fix2 = _CORRECTIONS[o.label]
-        if fix1:
-            out = apply(correction_unitary(t1).on(0), out)
-        if fix2:
-            out = apply(correction_unitary(t2).on(1), out)
+        for fix, signs in zip(_CORRECTIONS[o.label], flips):
+            if fix:
+                out = PureState(out.dims, out.amps * signs)
         branches.append(BranchOutcome(o.label, o.probability, out))
     return tuple(branches)
 
@@ -260,19 +264,6 @@ def _route_flag_fuse(
     )
 
 
-def trigger_flag_unitary(triggers: TriggerSet) -> Unitary:
-    """Flip a fresh flag qubit exactly on the trigger levels.
-
-    Realized as a Hadamard sandwich around one two-level sign gate per
-    trigger level, acting on (register, flag)."""
-    d = triggers.dim
-    core = np.ones(2 * d)
-    for s in triggers:
-        core[2 * s + 1] = -1.0
-    h = np.kron(np.eye(d), hadamard().entries)
-    return Unitary(h @ np.diag(core) @ h)
-
-
 _VERIFIED: dict[tuple[int, int], Unitary] = {}
 
 
@@ -334,21 +325,16 @@ def _run_state_independent(
     t1 = _as_trigger_set(c1, d1)
     t2 = _as_trigger_set(c2, d2)
 
-    def two_level(d: int, s: int) -> Unitary:
-        if mode == "faithful":
-            return verified_two_level_cz(d, s)
-        return multi_level_cz(d, 2, (s,), (1,))
-
-    def ladder(ts: TriggerSet) -> np.ndarray:
-        # the two-level gates are diagonal on (register, flag), so a side's
-        # whole ladder is one sign pattern over (level, flag)
-        signs = np.ones(2 * ts.dim)
-        for s in ts:
-            signs *= two_level(ts.dim, s).entries.diagonal().real
-        return signs.reshape(ts.dim, 2)
-
-    # laid out on the flag register's axes (d1, d2, f1, f2)
-    ladders = [ladder(t1)[:, None, :, None], ladder(t2)[:, None, :]]
+    # faithful mode cross-checks every two-level gate the ladder uses against
+    # its optical realization; a gate that passes is the logical sign gate
+    if mode == "faithful":
+        for ts in (t1, t2):
+            for s in ts:
+                verified_two_level_cz(ts.dim, s)
+    # the two-level gates are diagonal on (register, flag), so a side's whole
+    # ladder is one sign pattern over (level, flag), laid out on the flag
+    # register's axes (d1, d2, f1, f2)
+    ladders = [_signs(t1, _FLAG)[:, None, :, None], _signs(t2, _FLAG)[:, None, :]]
     expected = success_probability("state-independent", len(t1), len(t2), model)
 
     # the (d1, d2, 2, 2) flag register beside its image under each gate, and
@@ -392,15 +378,3 @@ def _ladder_fuse(
         resource_state=reg,
     )
 
-
-def run_state_independent(
-    psi1: PureState,
-    psi2: PureState,
-    c1,
-    c2,
-    mode: str = "fast",
-    model: BsmModel | None = None,
-) -> SchemeResult:
-    _require_register(psi1, "psi1")
-    _require_register(psi2, "psi2")
-    return run_state_independent_joint(tensor(psi1, psi2), c1, c2, mode, model)

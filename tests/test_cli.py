@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +212,27 @@ class TestReproduce:
 
     def test_default_heralds_all_pass(self):
         assert all(c.passed for c in run_claims(0))
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_transcript(command: str) -> str:
+    """The output the README shows under `$ <command>` in a fenced block."""
+    block = README.read_text().split(f"```\n$ {command}\n", 1)[1]
+    return block.split("```\n", 1)[0]
+
+
+class TestReadmeTranscripts:
+    """The README's transcripts are the CLI's output byte for byte, so
+    they also pin the printed fidelity digits."""
+
+    @pytest.mark.parametrize("command", [
+        "qompress verify --d1 8 --d2 2 --c1 3,7 --c2 1 --scheme state-dependent",
+        "qompress compress",
+    ])
+    def test_transcript(self, capsys, monkeypatch, command):
+        monkeypatch.delenv("QOMPRESS_SEED", raising=False)
+        code, out, err = run(capsys, command.split()[1:])
+        assert (code, err) == (0, "")
+        assert out == readme_transcript(command)

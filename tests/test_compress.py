@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qompress import compress
+from qompress import compress, mcz, schemes
 from qompress.compress import (
     BACKENDS,
     CircuitFormatError,
@@ -21,7 +21,6 @@ from qompress.compress import (
     QuditLayout,
     classify_gates,
     cost_report,
-    legality_state_dependent,
     parse_circuit,
     parse_layout,
     qfa_circuit,
@@ -29,6 +28,8 @@ from qompress.compress import (
     simulate_compressed,
     trigger_sets,
 )
+from qompress.mcz import multi_level_cz
+from qompress.qstate import PureState, apply
 
 
 def full_adder_bits(a: int, b: int, cin: int) -> tuple[int, int]:
@@ -160,10 +161,11 @@ class TestBundledAdder:
             trigger_sets(Gate("cx", (0, 1)), qfa_layout())
 
     def test_legality(self):
-        circuit, layout = qfa_circuit(), qfa_layout()
-        assert legality_state_dependent(circuit, 0, layout) is True
-        # a nonlocal gate ran earlier, so the marginals are no longer product
-        assert legality_state_dependent(circuit, 2, layout) is False
+        row = cost_report(qfa_circuit(), qfa_layout()).row("state-dependent")
+        # a nonlocal gate ran before gate 2, so its marginals are no longer product
+        assert row.legal is False
+        assert row.reason.startswith("gate 2 ")
+        assert cost_report(benchmark_circuit(), qfa_layout()).row("state-dependent").legal
 
 
 def three_crossing_circuit() -> tuple[CircuitIR, QuditLayout]:
@@ -324,15 +326,55 @@ class TestSimulation:
             simulate_compressed(benchmark_circuit(), qfa_layout(), "magic")
 
     def test_each_crossing_is_built_once(self, monkeypatch):
-        # one derivation and one gate matrix per crossing, not one per word
+        # one derivation per crossing, not one per word; the crossing is a
+        # sign multiply, so no dense gate matrix is built at all
         calls = {"trigger_sets": 0, "multi_level_cz": 0}
-        for name in calls:
-            def counted(*args, _real=getattr(compress, name), _name=name):
-                calls[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(compress, name, counted)
+        for module in (compress, schemes, mcz):
+            for name in calls:
+                real = getattr(module, name, None)
+                if real is None:
+                    continue
+
+                def counted(*args, _real=real, _name=name):
+                    calls[_name] += 1
+                    return _real(*args)
+
+                monkeypatch.setattr(module, name, counted)
         simulate_compressed(qfa_circuit(), qfa_layout(), "standard")
-        assert calls == {"trigger_sets": 2, "multi_level_cz": 2}
+        assert calls == {"trigger_sets": 2, "multi_level_cz": 0}
+
+    @pytest.mark.parametrize("backend", ["uncompressed", "standard"])
+    def test_crossing_sign_multiply_equals_dense_gate(self, monkeypatch, backend):
+        # random batched factors enter the crossing; its product register
+        # must equal the dense gate's apply exactly (IEEE equality, so the
+        # sign of a zero does not count)
+        rng = np.random.default_rng(113)
+        circuit = CircuitIR(4, (Gate("h", (0,)), Gate("ccz", (1, 2, 3))))
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def hadamard_on(factors, layout, qubit):
+            for g, factor in enumerate(factors):
+                factors[g] = rng.standard_normal(factor.shape) + 1j * rng.standard_normal(factor.shape)
+            seen["factors"] = [f.copy() for f in factors]
+
+        def refactor(joint):
+            seen["joint"] = joint
+            raise Stop
+
+        monkeypatch.setattr(compress, "_hadamard_on", hadamard_on)
+        monkeypatch.setattr(compress, "_refactor", refactor)
+        with pytest.raises(Stop):
+            simulate_compressed(circuit, qfa_layout(), backend)
+        f1, f2 = seen["factors"]
+        deriv = trigger_sets(circuit.gates[1], qfa_layout())
+        dense = apply(
+            multi_level_cz(8, 2, deriv.first, deriv.second).on(1, 2),
+            PureState((16, 8, 2), f1[:, :, None] * f2[:, None, :]),
+        )
+        assert np.array_equal(seen["joint"].reshape(16, 8, 2), dense.amps)
 
     @pytest.mark.parametrize("backend, core, circuit, crossings", [
         ("state-independent", "_run_state_independent", qfa_circuit, 2),

@@ -12,6 +12,7 @@ from qompress.mcz import (
     BELL_LABELS,
     BsmModel,
     TriggerSet,
+    _signs,
     ancilla_flag_unitary,
     bell_measurement,
     bell_vector,
@@ -87,6 +88,23 @@ class TestGateMatrices:
     def test_correction_unitary(self):
         u = correction_unitary(TriggerSet((0, 2), 4)).entries
         np.testing.assert_array_equal(u, np.diag([-1.0, 1.0, -1.0, 1.0]))
+
+    def test_signs_are_every_gate_diagonal(self):
+        # -1 exactly where every register sits on one of its trigger levels
+        t1, t2 = TriggerSet((1, 3), 4), TriggerSet((0,), 3)
+        np.testing.assert_array_equal(_signs(t1), [1.0, -1.0, 1.0, -1.0])
+        hit = np.array([[m in t1 and n in t2 for n in range(3)] for m in range(4)])
+        np.testing.assert_array_equal(_signs(t1, t2), np.where(hit, -1.0, 1.0))
+        np.testing.assert_array_equal(
+            multi_level_cz(4, 3, t1, t2).entries, np.diag(_signs(t1, t2).ravel())
+        )
+        np.testing.assert_array_equal(correction_unitary(t1).entries, np.diag(_signs(t1)))
+
+    def test_sign_gate_is_a_read_only_unbound_unitary(self):
+        gate = multi_level_cz(3, 2, (1,), (1,))
+        assert gate.entries.dtype == complex and not gate.entries.flags.writeable
+        assert gate.targets is None
+        assert gate.on(0, 1).entries is gate.entries
 
 
 class TestAncillaPreparation:

@@ -8,16 +8,23 @@ import numpy as np
 import pytest
 
 from conftest import random_amplitudes, random_trigger_indices
-from qompress.mcz import BELL_LABELS, BsmModel, TriggerSet, multi_level_cz
+from qompress import schemes
+from qompress.mcz import (
+    BELL_LABELS,
+    BsmModel,
+    BsmOutcome,
+    TriggerSet,
+    correction_unitary,
+    multi_level_cz,
+)
 from qompress.qstate import PureState, apply, fidelity_up_to_phase, random_state, tensor
 from qompress.schemes import (
+    _feedforward,
     _run_state_dependent,
     _run_state_independent,
     run_state_dependent,
-    run_state_independent,
     run_state_independent_joint,
     success_probability,
-    trigger_flag_unitary,
     verified_two_level_cz,
 )
 
@@ -108,24 +115,6 @@ class TestStateDependent:
                     np.testing.assert_allclose(branch.output.amps, want.amps, atol=1e-12)
 
 
-class TestTriggerFlag:
-    def test_marks_trigger_levels(self):
-        ts = TriggerSet((0, 2), 4)
-        u = trigger_flag_unitary(ts)
-        for m in range(4):
-            state = PureState.basis((4, 2), (m, 0))
-            out = apply(u, state)
-            want = PureState.basis((4, 2), (m, int(m in ts)))
-            np.testing.assert_allclose(out.amps, want.amps, atol=1e-12)
-
-    def test_top_trigger_is_plain_controlled_flip(self):
-        d = 3
-        u = trigger_flag_unitary(TriggerSet((d - 1,), d)).entries
-        expected = np.eye(2 * d)
-        expected[[4, 5]] = expected[[5, 4]]
-        np.testing.assert_allclose(u, expected, atol=1e-12)
-
-
 class TestStateIndependent:
     def test_matches_gate_on_product_inputs(self):
         rng = np.random.default_rng(67)
@@ -134,7 +123,9 @@ class TestStateIndependent:
                 c1 = random_trigger_indices(d1, rng, max_size=3)
                 c2 = random_trigger_indices(d2, rng, max_size=3)
                 psi1, psi2 = random_state((d1,), rng), random_state((d2,), rng)
-                res = run_state_independent(psi1, psi2, c1, c2, model=BsmModel.ideal())
+                res = run_state_independent_joint(
+                    tensor(psi1, psi2), c1, c2, model=BsmModel.ideal()
+                )
                 want = expected_output(tensor(psi1, psi2), c1, c2)
                 for branch in res.branches:
                     np.testing.assert_allclose(branch.output.amps, want.amps, atol=1e-10)
@@ -152,11 +143,12 @@ class TestStateIndependent:
     def test_success_probability_formula(self):
         rng = np.random.default_rng(73)
         psi1, psi2 = random_state((8,), rng), random_state((2,), rng)
-        res = run_state_independent(psi1, psi2, (3, 7), (1,))
+        joint = tensor(psi1, psi2)
+        res = run_state_independent_joint(joint, (3, 7), (1,))
         assert res.success_probability == Fraction(1, 1024)
         assert res.ancilla_count == 8
         assert res.nonlocal_gate_count == 3
-        res = run_state_independent(psi1, psi2, (3, 7), (1,), model=BsmModel.ideal())
+        res = run_state_independent_joint(joint, (3, 7), (1,), model=BsmModel.ideal())
         assert res.success_probability == Fraction(1, 64)
 
     def test_resource_state_structure(self):
@@ -254,6 +246,63 @@ class TestBatchedCores:
             run_state_dependent(batch, batch, (1,), (1,))
         with pytest.raises(ValueError):
             run_state_independent_joint(PureState((2, 2), np.eye(4).reshape(4, 2, 2)), (1,), (1,))
+
+
+def random_batch(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestSignMultiplies:
+    """Inside the schemes every sign gate is a multiply by a ±1 array. On
+    random batched states each must equal the dense gate's apply exactly;
+    IEEE equality, so the sign of a zero does not count."""
+
+    def test_feedforward_corrections(self):
+        rng = np.random.default_rng(107)
+        t1, t2 = TriggerSet((1, 3), 4), TriggerSet((0,), 3)
+        state = PureState((4, 3), random_batch((16, 4, 3), rng))
+        outcomes = [BsmOutcome(label, np.full(16, 0.25), state) for label in BELL_LABELS]
+        branches = _feedforward(outcomes, t1, t2)
+        # phi- corrects register 1, psi+ register 2 and psi- both
+        fixes = {"phi+": (), "phi-": (0,), "psi+": (1,), "psi-": (0, 1)}
+        assert [b.label for b in branches] == list(BELL_LABELS)
+        for branch in branches:
+            want = state
+            for sub in fixes[branch.label]:
+                want = apply(correction_unitary((t1, t2)[sub]).on(sub), want)
+            assert np.array_equal(branch.output.amps, want.amps), branch.label
+
+    @pytest.mark.parametrize("mode", ["fast", "faithful"])
+    def test_flag_ladder(self, monkeypatch, mode):
+        d1, d2, c1, c2 = 4, 3, (0, 2, 3), (1,)
+        seen = {"verified": []}
+
+        def ladder_fuse(joint, t1, t2, ladders, *rest, _real=schemes._ladder_fuse):
+            seen["ladders"] = ladders
+            return _real(joint, t1, t2, ladders, *rest)
+
+        def verified(d, s, _real=verified_two_level_cz):
+            seen["verified"].append((d, s))
+            return _real(d, s)
+
+        monkeypatch.setattr(schemes, "_ladder_fuse", ladder_fuse)
+        monkeypatch.setattr(schemes, "verified_two_level_cz", verified)
+        rng = np.random.default_rng(109)
+        joint = PureState((d1, d2), np.array([random_state((d1, d2), rng).amps for _ in range(8)]))
+        list(_run_state_independent(joint, c1, c2, mode, BsmModel.ideal()))
+        # faithful mode cross-checks every two-level gate the ladder uses
+        checked = [(d1, s) for s in c1] + [(d2, s) for s in c2]
+        assert seen["verified"] == (checked if mode == "faithful" else [])
+
+        # the ladder on a random batched flag register (d1, d2, f1, f2)
+        reg = PureState((d1, d2, 2, 2), random_batch((8, d1, d2, 2, 2), rng))
+        want = reg
+        for s in c1:
+            want = apply(multi_level_cz(d1, 2, (s,), (1,)).on(0, 2), want)
+        for s in c2:
+            want = apply(multi_level_cz(d2, 2, (s,), (1,)).on(1, 3), want)
+        first, second = seen["ladders"]
+        assert np.array_equal(reg.amps * first * second, want.amps)
 
 
 class TestVerifiedGate:
