@@ -53,14 +53,27 @@ class UsageError(ValueError):
 
 def _resolve_seed(flag_value: int | None) -> int:
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get("QOMPRESS_SEED")
-    if env is None:
-        return DEFAULT_SEED
+        seed, source = flag_value, "--seed"
+    else:
+        env = os.environ.get("QOMPRESS_SEED")
+        if env is None:
+            return DEFAULT_SEED
+        try:
+            seed, source = int(env), "QOMPRESS_SEED"
+        except ValueError:
+            raise UsageError(f"QOMPRESS_SEED must be an integer, got {env!r}") from None
+    # numpy's generators take only non-negative seeds
+    if seed < 0:
+        raise UsageError(f"{source} must be non-negative, got {seed}")
+    return seed
+
+
+def _read_document(path: str) -> str:
     try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"QOMPRESS_SEED must be an integer, got {env!r}") from None
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
 
 
 def _parse_levels(text: str, flag: str) -> tuple[int, ...]:
@@ -172,10 +185,8 @@ def cmd_compress(args) -> int:
     else:
         if args.layout is None:
             raise UsageError("compress needs either no paths (bundled adder) or both paths")
-        with open(args.circuit, "r", encoding="utf-8") as fh:
-            circuit = parse_circuit(fh.read())
-        with open(args.layout, "r", encoding="utf-8") as fh:
-            layout = parse_layout(fh.read())
+        circuit = parse_circuit(_read_document(args.circuit))
+        layout = parse_layout(_read_document(args.layout))
 
     try:
         report = cost_report(circuit, layout)

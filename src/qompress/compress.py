@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from importlib import resources
-from operator import attrgetter
 
 import numpy as np
 
@@ -32,7 +31,8 @@ _CX_EQUIV = {"h": 0, "x": 0, "z": 0, "cx": 1, "cz": 1, "ccx": 3, "ccz": 3}
 _ARITY = {"h": 1, "x": 1, "z": 1, "cx": 2, "cz": 2, "ccx": 3, "ccz": 3}
 _VARIADIC = ("mcx", "mcz")
 
-_ENTANGLEMENT_ATOL = 1e-9
+# a final amplitude this close to 1 in modulus reads as a basis word
+_READOUT_ATOL = 1e-9
 
 
 class CircuitFormatError(ValueError):
@@ -237,6 +237,16 @@ def trigger_sets(gate: Gate, layout: QuditLayout) -> TriggerDerivation:
     return TriggerDerivation(first, second, (r1, r2), (g1, g2))
 
 
+def _crossings(
+    circuit: CircuitIR, layout: QuditLayout, tags: tuple[GateTag, ...]
+) -> tuple[tuple[int, TriggerDerivation], ...]:
+    """Each gate over more than one group, by index, with its derivation in
+    circuit order; a gate over three groups raises ValueError."""
+    return tuple(
+        (i, trigger_sets(circuit.gates[i], layout)) for i, tag in enumerate(tags) if not tag.local
+    )
+
+
 @dataclass(frozen=True)
 class BackendCost:
     backend: str
@@ -272,9 +282,7 @@ def cost_report(circuit: CircuitIR, layout: QuditLayout) -> CostReport:
             raise ValueError(f"{gate.kind!r} has no fixed two-qubit decomposition")
         unc_count += _CX_EQUIV[gate.kind]
 
-    crossings = tuple(
-        (i, trigger_sets(circuit.gates[i], layout)) for i, tag in enumerate(tags) if not tag.local
-    )
+    crossings = _crossings(circuit, layout, tags)
     derivs = [d for _, d in crossings]
 
     std_count = sum(len(d.first) * len(d.second) for d in derivs)
@@ -316,25 +324,60 @@ def cost_report(circuit: CircuitIR, layout: QuditLayout) -> CostReport:
     return CostReport(rows, crossings)
 
 
-def _hadamard_on(factors: list[np.ndarray], layout: QuditLayout, qubit: int):
-    """Hadamard on one qubit, in place in its group's stacked (words, 2^w) factor."""
-    g = layout.group_of(qubit)
-    group, factor = layout.groups[g], factors[g]
-    state = PureState((len(factor),) + (2,) * len(group), factor)
-    factors[g] = apply(hadamard().on(1 + group.index(qubit)), state).amps.reshape(len(factor), -1)
+def _hadamard(reg: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """Hadamard on one qubit axis of the (words, 2, ..., 2) view of an n-qubit register."""
+    qubits = PureState((2,) * n, reg.reshape((-1,) + (2,) * n))
+    return apply(hadamard().on(axis), qubits).amps.reshape(reg.shape)
 
 
-def _refactor(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split each (d1, d2) slice of a stacked joint state into its two factors."""
-    u, s, vh = np.linalg.svd(joint)
-    # both dims are at least 2, so every slice has a second singular value
-    entangled = np.flatnonzero(s[:, 1] > _ENTANGLEMENT_ATOL)
-    if entangled.size:
-        raise CompressionError(
-            f"groups became entangled (second singular value {s[entangled[0], 1]:.3e}); "
-            "the factored register layout cannot represent this state"
+def _scheme_crossing(reg: np.ndarray, deriv: TriggerDerivation, backend: str):
+    """Set up one crossing's scheme on a (words, d_1, ..., d_k) register.
+
+    The other groups' axes fold into the word axis, so each (word,
+    spectator) slice is a (d1, d2) state. A nonzero slice c·ψ enters the
+    scheme as the unit input ψ, and its output Uψ is scaled back by c; a
+    zero slice stays zero. The returned function runs the scheme and
+    streams its output into the next register. The scheme holds its own
+    copy of the slices, so the caller can drop `reg` first.
+    """
+    g1, g2 = deriv.groups
+    d1, d2 = deriv.first.dim, deriv.second.dim
+    perm = [0] + [1 + g for g in range(reg.ndim - 1) if g not in (g1, g2)] + [1 + g1, 1 + g2]
+    moved = reg.transpose(perm)
+    shape, x = moved.shape, moved.reshape(-1, d1, d2)
+    total, live = len(x), np.flatnonzero(np.any(x, axis=(1, 2)))
+    x = x[live]
+    model = BsmModel.linear_optics()
+    if backend == "state-independent":
+        scale = np.linalg.norm(x, axis=(1, 2))
+        x /= scale[:, None, None]
+        joint = PureState((d1, d2), x)
+        runs = _run_state_independent(joint, deriv.first, deriv.second, "fast", model)
+    else:
+        # one crossing only, so every slice is a product a bᵀ: a is read off
+        # its largest column and b off its largest row
+        rows = np.arange(len(x))
+        a = x[rows, :, np.argmax(np.linalg.norm(x, axis=1), axis=1)]
+        b = x[rows, np.argmax(np.linalg.norm(x, axis=2), axis=1)]
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        scale = np.einsum("wi,wj,wij->w", a.conj(), b.conj(), x)
+        runs = _run_state_dependent(
+            PureState((d1,), a), PureState((d2,), b), deriv.first, deriv.second, model
         )
-    return u[:, :, 0] * s[:, :1], vh[:, 0]
+
+    def place() -> np.ndarray:
+        out = np.zeros((total, d1, d2), dtype=complex)
+        done = 0
+        # the scheme hands its words back a slice at a time; each is written
+        # into place before the next one runs
+        for res in runs:
+            amps = res.output.amps
+            out[live[done : done + len(amps)]] = amps * scale[done : done + len(amps), None, None]
+            done += len(amps)
+        return out.reshape(shape).transpose(np.argsort(perm))
+
+    return place
 
 
 def simulate_compressed(
@@ -346,14 +389,21 @@ def simulate_compressed(
     two-group gate would be executed, so the state-dependent backend
     refuses circuits whose gate order makes its ancillas unpreparable.
 
-    All words run together, one gate at a time: each group holds one
-    (words, 2^w) factor. Every gate but `h` is a sign flip on the levels
-    where all its operands are set, inside a Hadamard on the target for
-    x-kinds. The scheme backends run their scheme once per crossing, with
-    the words as its batch. A failure is raised at the earliest gate where any word
-    fails, for the lowest such word; the final basis-word readout counts
-    as coming after the last gate. The state-dependent refusal comes
-    first, before any gate runs.
+    The words run together, one gate at a time, on one dense register of
+    shape (words, d_1, ..., d_k), one axis per group in layout order, so
+    the groups may entangle. Every gate but `h` is a sign flip on the
+    levels where all its operands are set, inside a Hadamard on the target
+    for x-kinds. The scheme backends run their scheme once per crossing and
+    word chunk. A chunk holds as many amplitudes as all words' widest
+    per-word state (the group registers side by side, or a crossing's
+    d1·d2 product), so two groups with a crossing run in one chunk while
+    more groups, whose register grows as 4^n, run in several.
+
+    Errors come in a fixed order. Before any gate runs, the state-dependent
+    backend refuses a circuit with a second gate over more than one group,
+    and then a gate over three groups raises ValueError. After every chunk
+    has run every gate, a word that does not end on a computational basis
+    word raises CompressionError.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; pick one of {BACKENDS}")
@@ -365,60 +415,48 @@ def simulate_compressed(
                 f"gate {later[0]} follows an earlier two-group gate; "
                 "no router ancilla can be matched to its input"
             )
-    words = list(itertools.product((0, 1), repeat=circuit.qubit_count))
-    bits = np.array(words)
-    # bit shifts of each group's qubits, first-listed most significant
-    shifts = [np.arange(len(group) - 1, -1, -1) for group in layout.groups]
-    factors = [
-        np.eye(2 ** len(group), dtype=complex)[bits[:, list(group)] @ (1 << sh)]
-        for group, sh in zip(layout.groups, shifts)
-    ]
+    crossings = dict(_crossings(circuit, layout, tags))
+    n, dims = circuit.qubit_count, layout.dims
+    # each qubit's axis in the (words, 2, ..., 2) view, first-listed most significant
+    axis = {q: i for i, q in enumerate(q for group in layout.groups for q in group)}
+    order = list(axis)
+    shifts = np.arange(n - 1, -1, -1)
+    words = list(itertools.product((0, 1), repeat=n))
+    codes = np.array(words)[:, order] @ (1 << shifts)
+    # a chunk of `step` words holds step·2^n amplitudes, as many as all 2^n
+    # words' widest per-word state
+    step = max([sum(dims)] + [d.first.dim * d.second.dim for d in crossings.values()])
 
-    for gate, tag in zip(circuit.gates, tags):
-        if gate.kind == "h":
-            _hadamard_on(factors, layout, gate.operands[0])
-            continue
-        if gate.is_x_kind:
-            _hadamard_on(factors, layout, gate.target)
-        if tag.local:
-            g = tag.groups[0]
-            factors[g] = factors[g] * _signs(_group_triggers(gate, layout, g)[0])
-        else:
-            deriv = trigger_sets(gate, layout)
-            g1, g2 = deriv.groups
-            d1, d2 = deriv.first.dim, deriv.second.dim
-            if backend in ("uncompressed", "standard"):
-                # no name for the product: it is freed before the SVD
-                joint = (
-                    factors[g1][:, :, None] * factors[g2][:, None, :]
-                    * _signs(deriv.first, deriv.second)
-                )
+    levels, peaks = [], []
+    for lo in range(0, len(words), step):
+        chunk = codes[lo : lo + step]
+        reg = np.zeros((len(chunk), 2**n), dtype=complex)
+        reg[np.arange(len(chunk)), chunk] = 1.0
+        reg = reg.reshape((-1,) + dims)
+        for i, (gate, tag) in enumerate(zip(circuit.gates, tags)):
+            if gate.kind == "h":
+                reg = _hadamard(reg, n, axis[gate.operands[0]])
+                continue
+            if gate.is_x_kind:
+                reg = _hadamard(reg, n, axis[gate.target])
+            if tag.local or backend in ("uncompressed", "standard"):
+                signs = _signs(*(_group_triggers(gate, layout, g)[0] for g in tag.groups))
+                others = [g for g in range(len(dims)) if g not in tag.groups]
+                reg = reg * np.expand_dims(signs, others)
             else:
-                if backend == "state-dependent":
-                    runs = _run_state_dependent(
-                        PureState((d1,), factors[g1]), PureState((d2,), factors[g2]),
-                        deriv.first, deriv.second, BsmModel.linear_optics(),
-                    )
-                else:
-                    runs = _run_state_independent(
-                        PureState((d1, d2), factors[g1][:, :, None] * factors[g2][:, None, :]),
-                        deriv.first, deriv.second, "fast", BsmModel.linear_optics(),
-                    )
-                # the scheme runs once per crossing over all words and hands them
-                # back a slice at a time; map holds no finished slice's result
-                # while the next slice runs
-                joint = np.concatenate(list(map(attrgetter("output.amps"), runs)))
-            factors[g1], factors[g2] = _refactor(joint.reshape(-1, d1, d2))
-        if gate.is_x_kind:
-            _hadamard_on(factors, layout, gate.target)
+                place = _scheme_crossing(reg, crossings[i], backend)
+                del reg  # the scheme holds its own copy, so only one register is alive
+                reg = place()
+            if gate.is_x_kind:
+                reg = _hadamard(reg, n, axis[gate.target])
+        flat = np.abs(reg.reshape(len(chunk), -1))
+        levels.append(np.argmax(flat, axis=1))
+        peaks.append(flat[np.arange(len(chunk)), levels[-1]])
 
-    out = np.empty_like(bits)
-    for group, sh, factor in zip(layout.groups, shifts, factors):
-        levels = np.argmax(np.abs(factor), axis=1)
-        peaks = np.abs(factor[np.arange(len(words)), levels])
-        if np.any(np.abs(peaks - 1.0) > _ENTANGLEMENT_ATOL):
-            raise CompressionError("final state is not a computational basis word")
-        out[:, list(group)] = (levels[:, None] >> sh) & 1
+    if np.any(np.abs(np.concatenate(peaks) - 1.0) > _READOUT_ATOL):
+        raise CompressionError("final state is not a computational basis word")
+    out = np.empty((len(words), n), dtype=int)
+    out[:, order] = (np.concatenate(levels)[:, None] >> shifts) & 1
     return dict(zip(words, map(tuple, out.tolist())))
 
 

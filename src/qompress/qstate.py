@@ -74,12 +74,6 @@ class PureState:
             return float(np.linalg.norm(self.amps))
         return np.linalg.norm(self.amps.reshape(self.batch + (-1,)), axis=-1)
 
-    def normalized(self) -> "PureState":
-        n = self.norm
-        if n < 1e-14:
-            raise ValueError("cannot normalize a null state")
-        return PureState(self.dims, self.amps / n)
-
 
 @dataclass(frozen=True)
 class Unitary:
@@ -193,6 +187,8 @@ def fidelity_up_to_phase(a: PureState, b: PureState) -> float:
     if a.dims != b.dims:
         raise ValueError(f"dims differ: {a.dims} vs {b.dims}")
     for s in (a, b):
+        if s.batch:
+            raise ValueError(f"fidelity_up_to_phase takes one state, got a batch {s.batch}")
         if abs(s.norm - 1.0) > NORM_ATOL:
             raise ValueError("fidelity is only defined for normalized states")
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)

@@ -174,6 +174,17 @@ class TestCompress:
         assert out == ""
         assert err == f"error: {exc.value}\n"
 
+    @pytest.mark.parametrize("which", ["circuit", "layout"])
+    def test_non_utf8_file_is_usage_error(self, capsys, tmp_path, which):
+        paths = {"circuit": tmp_path / "c.json", "layout": tmp_path / "l.json"}
+        paths["circuit"].write_text(json.dumps({"qubits": 1, "gates": []}))
+        paths["layout"].write_text(json.dumps({"groups": [[0]]}))
+        paths[which].write_bytes(b'{"groups": [[0]]}\xff')
+        code, out, err = run(capsys, ["compress", str(paths["circuit"]), str(paths["layout"])])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {paths[which]} is not UTF-8 text: invalid start byte at byte 17\n"
+
     def test_single_path_rejected(self, capsys, tmp_path):
         circuit = tmp_path / "c.json"
         circuit.write_text(json.dumps({"qubits": 1, "gates": []}))
@@ -236,3 +247,17 @@ class TestReadmeTranscripts:
         code, out, err = run(capsys, command.split()[1:])
         assert (code, err) == (0, "")
         assert out == readme_transcript(command)
+
+
+@pytest.mark.parametrize("command", ["verify", "reproduce"])
+@pytest.mark.parametrize("source", ["--seed", "QOMPRESS_SEED"])
+def test_negative_seed_is_usage_error(capsys, monkeypatch, command, source):
+    argv = [command]
+    if source == "--seed":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("QOMPRESS_SEED", "-1")
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {source} must be non-negative, got -1\n"

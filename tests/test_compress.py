@@ -20,7 +20,9 @@ from qompress.compress import (
     Gate,
     QuditLayout,
     classify_gates,
+    circuit_to_dict,
     cost_report,
+    layout_to_dict,
     parse_circuit,
     parse_layout,
     qfa_circuit,
@@ -206,13 +208,15 @@ class TestCrossings:
             simulate_compressed(circuit, QuditLayout(((0, 1), (2, 3), (4, 5))), "state-dependent")
 
     def test_entangling_gate_fails_before_a_later_three_group_gate(self):
+        # the entangling gate runs fine on the dense register; the gate over
+        # three groups is refused before any gate runs
         circuit = CircuitIR(6, (Gate("h", (0,)), Gate("cx", (0, 2)), Gate("ccx", (0, 2, 4))))
-        with pytest.raises(CompressionError, match="entangled"):
+        with pytest.raises(ValueError, match="more than two groups"):
             simulate_compressed(circuit, QuditLayout(((0, 1), (2, 3), (4, 5))), "standard")
 
     def test_failure_comes_from_the_earliest_gate_over_all_words(self):
-        # word 0 never entangles and would reach the three-group gate, but
-        # the words with qubit 1 set entangle at gate 2, which comes first
+        # the words with qubit 1 set entangle at gate 2, which no longer
+        # fails, so the three-group gate is what every backend refuses
         circuit = CircuitIR(6, (
             Gate("h", (0,)),
             Gate("h", (2,)),
@@ -221,8 +225,9 @@ class TestCrossings:
             Gate("h", (2,)),
             Gate("ccx", (0, 2, 4)),
         ))
-        with pytest.raises(CompressionError, match="entangled"):
-            simulate_compressed(circuit, QuditLayout(((0, 1), (2, 3), (4, 5))), "standard")
+        for backend in ("uncompressed", "standard", "state-independent"):
+            with pytest.raises(ValueError, match="more than two groups"):
+                simulate_compressed(circuit, QuditLayout(((0, 1), (2, 3), (4, 5))), backend)
 
     @pytest.mark.parametrize("qubits, gates, message", [
         # an uncovered layout is reported before an undecomposable kind,
@@ -345,36 +350,39 @@ class TestSimulation:
 
     @pytest.mark.parametrize("backend", ["uncompressed", "standard"])
     def test_crossing_sign_multiply_equals_dense_gate(self, monkeypatch, backend):
-        # random batched factors enter the crossing; its product register
-        # must equal the dense gate's apply exactly (IEEE equality, so the
-        # sign of a zero does not count)
+        # a random register enters the crossing; its output must equal the
+        # dense gate's apply exactly (IEEE equality, so the sign of a zero
+        # does not count)
         rng = np.random.default_rng(113)
-        circuit = CircuitIR(4, (Gate("h", (0,)), Gate("ccz", (1, 2, 3))))
-        seen = {}
 
         class Stop(Exception):
             pass
 
-        def hadamard_on(factors, layout, qubit):
-            for g, factor in enumerate(factors):
-                factors[g] = rng.standard_normal(factor.shape) + 1j * rng.standard_normal(factor.shape)
-            seen["factors"] = [f.copy() for f in factors]
+        def hadamard(reg, n, axis):
+            if "in" in seen:
+                seen["out"] = reg
+                raise Stop
+            seen["in"] = rng.standard_normal(reg.shape) + 1j * rng.standard_normal(reg.shape)
+            return seen["in"]
 
-        def refactor(joint):
-            seen["joint"] = joint
-            raise Stop
-
-        monkeypatch.setattr(compress, "_hadamard_on", hadamard_on)
-        monkeypatch.setattr(compress, "_refactor", refactor)
-        with pytest.raises(Stop):
-            simulate_compressed(circuit, qfa_layout(), backend)
-        f1, f2 = seen["factors"]
-        deriv = trigger_sets(circuit.gates[1], qfa_layout())
-        dense = apply(
-            multi_level_cz(8, 2, deriv.first, deriv.second).on(1, 2),
-            PureState((16, 8, 2), f1[:, :, None] * f2[:, None, :]),
-        )
-        assert np.array_equal(seen["joint"].reshape(16, 8, 2), dense.amps)
+        monkeypatch.setattr(compress, "_hadamard", hadamard)
+        for layout, gate in [
+            (qfa_layout(), Gate("ccz", (1, 2, 3))),
+            # the crossing skips the middle group, which passes through
+            (QuditLayout(((0, 1), (2, 3), (4, 5))), Gate("ccz", (1, 4, 5))),
+        ]:
+            seen = {}
+            circuit = CircuitIR(layout.qubit_count, (Gate("h", (0,)), gate, Gate("h", (0,))))
+            with pytest.raises(Stop):
+                simulate_compressed(circuit, layout, backend)
+            deriv = trigger_sets(gate, layout)
+            dense = apply(
+                multi_level_cz(deriv.first.dim, deriv.second.dim, deriv.first, deriv.second)
+                .on(*deriv.groups),
+                PureState(layout.dims, seen["in"]),
+            )
+            assert seen["in"].shape[1:] == layout.dims
+            assert np.array_equal(seen["out"], dense.amps)
 
     @pytest.mark.parametrize("backend, core, circuit, crossings", [
         ("state-independent", "_run_state_independent", qfa_circuit, 2),
@@ -396,9 +404,10 @@ class TestSimulation:
         assert table == simulate_compressed(circuit(), qfa_layout(), "standard")
 
     def test_entangling_circuit_rejected(self):
+        # a Bell pair is no basis word, so its table cannot be read out
         circuit = CircuitIR(2, (Gate("h", (0,)), Gate("cx", (0, 1))))
         layout = QuditLayout(((0,), (1,)))
-        with pytest.raises(CompressionError):
+        with pytest.raises(CompressionError, match="not a computational basis word"):
             simulate_compressed(circuit, layout, "standard")
 
 
@@ -486,6 +495,112 @@ def test_every_backend_agrees_with_standard_on_circuits_with_h(case):
                 simulate_compressed(circuit, layout, backend)
         else:
             assert table_or_error(circuit, layout, backend) == want, backend
+
+
+def reference_states(circuit: CircuitIR) -> np.ndarray:
+    """Every input word's final state on a plain qubit register, built from
+    2×2 Hadamards and sign flips where all operands are 1 (x-kinds inside a
+    Hadamard on the target); no layout and no trigger sets. Row w is word
+    w's state, qubit 0 most significant."""
+    n = circuit.qubit_count
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    states = np.eye(2**n, dtype=complex).reshape((2**n,) + (2,) * n)
+    ones = np.indices((2,) * n)
+
+    def hadamard(states, q):
+        return np.moveaxis(np.tensordot(h, states, axes=([1], [1 + q])), 0, 1 + q)
+
+    for gate in circuit.gates:
+        if gate.kind == "h":
+            states = hadamard(states, gate.operands[0])
+            continue
+        if gate.is_x_kind:
+            states = hadamard(states, gate.target)
+        states = states * np.where(np.all(ones[list(gate.operands)], axis=0), -1.0, 1.0)
+        if gate.is_x_kind:
+            states = hadamard(states, gate.target)
+    return states.reshape(2**n, -1)
+
+
+def reference_table(circuit: CircuitIR) -> dict | None:
+    """The reference's truth table, or None when a word does not end on a
+    basis word."""
+    states = np.abs(reference_states(circuit))
+    if np.any(np.abs(states.max(axis=1) - 1.0) > 1e-9):
+        return None
+    n = circuit.qubit_count
+    words = itertools.product((0, 1), repeat=n)
+    levels = states.argmax(axis=1)
+    return {w: tuple(int(b) for b in np.binary_repr(m, n)) for w, m in zip(words, levels)}
+
+
+@st.composite
+def entangling_grouped_circuits(draw):
+    """The circuits with h above; half of them are followed by their own
+    mirror image, which entangles the groups midway and ends on the input
+    word, so tables are served as well as refused."""
+    circuit, layout = draw(grouped_circuits_with_h())
+    gates = circuit.gates
+    if draw(st.booleans()):
+        gates += gates[::-1]
+    return CircuitIR(circuit.qubit_count, gates), layout
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(entangling_grouped_circuits())
+def test_every_backend_matches_a_plain_qubit_state_vector(case):
+    circuit, layout = case
+    want = reference_table(circuit)
+    crossings = sum(not t.local for t in classify_gates(circuit, layout))
+    for backend in BACKENDS:
+        if backend == "state-dependent" and crossings > 1:
+            with pytest.raises(CompressionError, match="no router ancilla"):
+                simulate_compressed(circuit, layout, backend)
+        elif want is None:
+            with pytest.raises(CompressionError, match="not a computational basis word"):
+                simulate_compressed(circuit, layout, backend)
+        else:
+            assert simulate_compressed(circuit, layout, backend) == want, backend
+
+
+class TestDenseRegister:
+    @pytest.mark.parametrize("backend", ["uncompressed", "standard", "state-independent"])
+    def test_entangle_and_disentangle_is_the_identity(self, backend):
+        # the two cx entangle the groups and then undo it
+        cx = Gate("cx", (0, 1))
+        circuit = CircuitIR(2, (Gate("h", (0,)), cx, cx, Gate("h", (0,))))
+        table = simulate_compressed(circuit, QuditLayout(((0,), (1,))), backend)
+        assert table == {w: w for w in itertools.product((0, 1), repeat=2)}
+
+    @pytest.mark.parametrize("backend", ["state-dependent", "state-independent"])
+    def test_scheme_crossing_with_a_superposed_spectator(self, backend):
+        # the crossing joins groups 0 and 2 while the middle group sits in
+        # superposition; each of its levels is one slice of the scheme's
+        # batch, and the closing Hadamards read the spectator back out
+        layout = QuditLayout(((0, 1), (2, 3), (4, 5)))
+        spread = (Gate("h", (0,)), Gate("h", (2,)), Gate("h", (3,)))
+        circuit = CircuitIR(6, spread + (Gate("ccz", (0, 1, 4)),) + spread)
+        want = {w: (w[0] ^ (w[1] & w[4]),) + w[1:] for w in itertools.product((0, 1), repeat=6)}
+        assert simulate_compressed(circuit, layout, backend) == want
+
+    def test_scheme_crossing_with_an_entangled_spectator(self):
+        # the middle group is entangled with group 0 when the crossing over
+        # groups 0 and 2 runs, so no slice of it is a product state
+        layout = QuditLayout(((0, 1), (2, 3), (4, 5)))
+        entangle = (Gate("h", (2,)), Gate("cx", (2, 0)))
+        circuit = CircuitIR(
+            6, entangle + (Gate("h", (1,)), Gate("cz", (1, 5)), Gate("h", (1,))) + entangle[::-1]
+        )
+        want = {w: (w[0], w[1] ^ w[5]) + w[2:] for w in itertools.product((0, 1), repeat=6)}
+        assert simulate_compressed(circuit, layout, "state-independent") == want
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(grouped_circuits_with_h())
+def test_documents_round_trip(case):
+    circuit, layout = case
+    assert parse_circuit(json.dumps(circuit_to_dict(circuit))) == circuit
+    assert parse_layout(json.dumps(layout_to_dict(layout))) == layout
 
 
 class TestGateValidation:

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+module-level private name is used somewhere in the package."""
 
 from __future__ import annotations
 
@@ -36,3 +37,56 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """Module-level names with one leading underscore, with their lines."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def references(source: str) -> set[str]:
+    """Every name read, attribute taken or name imported in the source."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    used = set().union(*(references(text) for text in sources.values()))
+    return [
+        f"{module} line {line}: {name}"
+        for module, text in sources.items()
+        for name, line in private_definitions(text).items()
+        if name not in used
+    ]
+
+
+def test_finds_an_unused_private_name():
+    sources = {
+        "a.py": "_TOL = 1e-9\n_kept = 1\ndef _split(x):\n    return x\n_split(_kept)\n",
+        "b.py": "from a import _kept\nprint(_kept)\n",
+    }
+    assert unused_private_names(sources) == ["a.py line 1: _TOL"]
+
+
+def test_no_unused_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_names(sources) == []

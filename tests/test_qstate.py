@@ -67,12 +67,6 @@ class TestPureState:
         with pytest.raises(ValueError):
             s.amps[0] = 3.0
 
-    def test_normalized(self):
-        s = PureState((2,), np.array([3.0, 4.0]))
-        np.testing.assert_allclose(s.normalized().amps, [0.6, 0.8])
-        with pytest.raises(ValueError):
-            PureState((2,), np.zeros(2)).normalized()
-
 
 class TestUnitary:
     def test_rejects_non_unitary(self):
@@ -163,6 +157,14 @@ class TestRegisterOps:
         np.testing.assert_allclose(fidelity_up_to_phase(s, rotated), 1.0, atol=1e-12)
         with pytest.raises(ValueError):
             fidelity_up_to_phase(s, PureState((4,), s.amps * 2.0))
+
+    def test_fidelity_refuses_a_batch(self):
+        rng = np.random.default_rng(29)
+        s = random_state((4,), rng)
+        batch = PureState((4,), np.stack([s.amps, s.amps]))
+        for a, b in ((batch, s), (s, batch)):
+            with pytest.raises(ValueError, match="takes one state, got a batch"):
+                fidelity_up_to_phase(a, b)
 
 
 class TestBatches:
