@@ -84,7 +84,17 @@ def _parse_levels(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _fraction_text(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    # an exact cost can outgrow CPython's int-to-text digit limit (the
+    # standard row of a 13+2 qubit grouping is 1/9^8192), so the limit is
+    # lifted for this formatting only; it exists from CPython 3.10.7 on
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return f"{f.numerator}/{f.denominator}"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _fraction_payload(f: Fraction) -> dict:

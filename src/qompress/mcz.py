@@ -12,6 +12,9 @@ from .qstate import PureState, Unitary
 
 BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 
+# an ideal analyzer heralds every Bell outcome
+_ALL_HERALDS = frozenset(BELL_LABELS)
+
 _BELL = {
     "phi+": np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0),
     "phi-": np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0),
@@ -112,13 +115,14 @@ def prepare_ancillas(
 ) -> tuple[PureState, PureState]:
     """Ancilla photons for the two routers: the input's trigger pattern on
     the coupling rails plus an even share on the pass rail."""
-    out = []
-    for state, triggers in ((psi1, c1), (psi2, c2)):
-        pattern, _ = trigger_pattern(state, triggers)
-        pass_rail = np.ones(pattern.shape[:-1] + (1,))
-        amps = np.concatenate([pattern, pass_rail], axis=-1) / np.sqrt(2.0)
-        out.append(PureState((len(triggers) + 1,), amps))
-    return out[0], out[1]
+    return _ancilla(trigger_pattern(psi1, c1)[0]), _ancilla(trigger_pattern(psi2, c2)[0])
+
+
+def _ancilla(pattern: np.ndarray) -> PureState:
+    """One router's ancilla photon for a trigger pattern, per word."""
+    pass_rail = np.ones(pattern.shape[:-1] + (1,))
+    amps = np.concatenate([pattern, pass_rail], axis=-1) / np.sqrt(2.0)
+    return PureState((pattern.shape[-1] + 1,), amps)
 
 
 def ancilla_flag_unitary(pattern: np.ndarray) -> Unitary:
@@ -160,8 +164,8 @@ class BsmModel:
         object.__setattr__(self, "heralds", frozenset(self.heralds))
 
     @classmethod
-    def ideal(cls, heralds: frozenset[str] | None = None) -> "BsmModel":
-        return cls("ideal", frozenset(BELL_LABELS) if heralds is None else heralds)
+    def ideal(cls) -> "BsmModel":
+        return cls("ideal", _ALL_HERALDS)
 
     @classmethod
     def linear_optics(cls, heralds: frozenset[str] | None = None) -> "BsmModel":
@@ -216,7 +220,7 @@ def _bell_outcomes(state: PureState, model: BsmModel) -> list[BsmOutcome]:
             amps[~kept] = 0.0
             conditional = PureState(front_dims, amps)
         outcomes.append(BsmOutcome(label, prob if state.batch else float(prob), conditional))
-    if model.heralds != frozenset(BELL_LABELS):
+    if model.heralds != _ALL_HERALDS:
         fail = np.maximum(0.0, state.norm**2 - heralded_mass)
         outcomes.append(BsmOutcome("fail", fail if state.batch else float(fail), None))
     return outcomes

@@ -18,6 +18,8 @@ from .qstate import UNITARITY_ATOL, PureState
 
 # modes below split sit on the first port group, the rest on the second
 _SYMMETRY_ATOL = 1e-10
+# a word whose coincidence mass is below this has no state to renormalize
+_COINCIDENCE_CUTOFF = 1e-14
 
 
 def _trigger_indices(triggers) -> tuple[int, ...]:
@@ -64,9 +66,9 @@ class ModeUnitary:
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=complex)
-        n = entries.shape[0]
-        if entries.ndim != 2 or entries.shape != (n, n):
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError(f"expected a square matrix, got {entries.shape}")
+        n = entries.shape[0]
         if not np.allclose(entries.conj().T @ entries, np.eye(n), atol=UNITARITY_ATOL):
             raise ValueError("mode matrix is not unitary within tolerance")
         entries = entries.copy()
@@ -85,9 +87,9 @@ class TwoPhotonState:
 
     def __post_init__(self):
         coeff = np.asarray(self.coeff, dtype=complex)
-        n = coeff.shape[-1]
-        if coeff.ndim < 2 or coeff.shape[-2] != n:
+        if coeff.ndim < 2 or coeff.shape[-2] != coeff.shape[-1]:
             raise ValueError(f"coefficient matrix must be square, got {coeff.shape}")
+        n = coeff.shape[-1]
         if not np.allclose(coeff, coeff.swapaxes(-2, -1), atol=_SYMMETRY_ATOL):
             raise ValueError("coefficient matrix must be symmetric")
         if not 0 < self.split < n:
@@ -124,16 +126,6 @@ class TwoPhotonState:
             return complex(np.sqrt(2.0) * self.coeff[p, p])
         return complex(2.0 * self.coeff[p, q])
 
-    def amplitudes(self, atol: float = 1e-12) -> dict[PhotonConfig, complex]:
-        n = self.coeff.shape[0]
-        out = {}
-        for p in range(n):
-            for q in range(p, n):
-                a = self.amplitude(p, q)
-                if abs(a) > atol:
-                    out[PhotonConfig((p, q), self.split)] = a
-        return out
-
     @property
     def norm(self) -> float:
         return float(np.sqrt(2.0) * np.linalg.norm(self.coeff))
@@ -145,9 +137,7 @@ def evolve_two_photon(u: ModeUnitary, state: TwoPhotonState) -> TwoPhotonState:
     return TwoPhotonState(u.entries @ state.coeff @ u.entries.T, state.split)
 
 
-def postselect_coincidence(
-    state: TwoPhotonState, min_probability: float = 1e-14
-) -> tuple[PureState, float]:
+def postselect_coincidence(state: TwoPhotonState) -> tuple[PureState, float]:
     """Keep one photon per port group of one state and renormalize.
 
     Returns the surviving amplitudes as a two-subsystem register
@@ -158,18 +148,18 @@ def postselect_coincidence(
         raise ValueError(
             f"postselect_coincidence takes one state, got a batch {state.coeff.shape[:-2]}"
         )
-    register, prob = _coincidence(state, min_probability)
+    register, prob = _coincidence(state)
     return register, float(prob)
 
 
-def _coincidence(state: TwoPhotonState, min_probability: float = 1e-14):
+def _coincidence(state: TwoPhotonState):
     """postselect_coincidence over a batch: the kept mass is an array with
     one entry per word, and the lowest word below the cutoff is reported."""
     n = state.coeff.shape[-1]
     s = state.split
     block = 2.0 * state.coeff[..., :s, s:]
     prob = np.sum(np.abs(block) ** 2, axis=(-2, -1))
-    low = np.flatnonzero(prob < min_probability)
+    low = np.flatnonzero(prob < _COINCIDENCE_CUTOFF)
     if low.size:
         raise ValueError(f"coincidence probability {prob.flat[low[0]]:.3e} below cutoff")
     return PureState((s, n - s), block / np.sqrt(prob)[..., None, None]), prob

@@ -19,6 +19,8 @@ import numpy as np
 
 UNITARITY_ATOL = 1e-10
 NORM_ATOL = 1e-8
+# the largest amplitude norm truncate_subsystem may drop from a word
+_TRUNCATION_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,7 @@ def permute_subsystems(state: PureState, order: tuple[int, ...]) -> PureState:
     return PureState(dims, state.amps.transpose(tuple(range(nb)) + tuple(nb + i for i in order)))
 
 
-def truncate_subsystem(state: PureState, sub: int, new_dim: int, atol: float = 1e-12) -> PureState:
+def truncate_subsystem(state: PureState, sub: int, new_dim: int) -> PureState:
     """Drop the high levels of one subsystem; the discarded mass must be tiny
     in every word, and the lowest word that breaks this is reported."""
     if not 0 < new_dim <= state.dims[sub]:
@@ -172,7 +174,7 @@ def truncate_subsystem(state: PureState, sub: int, new_dim: int, atol: float = 1
     mass = np.abs(state.amps[tuple(sl)])
     mass *= mass
     discarded = np.sqrt(np.sum(mass, axis=tuple(range(len(batch), mass.ndim))))
-    over = np.flatnonzero(discarded > atol)
+    over = np.flatnonzero(discarded > _TRUNCATION_ATOL)
     if over.size:
         raise ValueError(
             f"truncation would discard amplitude mass {discarded.flat[over[0]]:.3e}"
@@ -200,5 +202,10 @@ def random_state(dims: tuple[int, ...], rng: np.random.Generator) -> PureState:
     return PureState(dims, v / np.linalg.norm(v))
 
 
+_HADAMARD = Unitary(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+
+
 def hadamard() -> Unitary:
-    return Unitary(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+    """The qubit Hadamard, validated once: the same frozen Unitary, with
+    read-only entries, on every call."""
+    return _HADAMARD

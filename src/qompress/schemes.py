@@ -28,11 +28,11 @@ from .mcz import (
     BsmOutcome,
     TriggerSet,
     _as_trigger_set,
+    _ancilla,
     _bell_outcomes,
     _signs,
     ancilla_flag_unitary,
     multi_level_cz,
-    prepare_ancillas,
     trigger_pattern,
 )
 from .optics import _coincidence, route_with_ancilla
@@ -130,9 +130,8 @@ def _by_slice(
     `per_word` is the scheme's working memory for one word, in amplitudes.
     A slice holds as many words as fit it within the amplitudes of the
     whole batch's (words, d1, d2) product register, the one the dense
-    backends build; an unbatched input is one slice. When a check fails,
-    the slice is replayed word by word, so the error raised is the lowest
-    failing word's own.
+    backends build; an unbatched input is one slice. Every check reports
+    the lowest failing word of its slice.
     """
     if not states[0].batch:
         yield run(*states)
@@ -140,16 +139,7 @@ def _by_slice(
     words, d1d2 = states[0].batch[0], math.prod(s.dim for s in states)
     step = max(1, words * d1d2 // per_word)
     for lo in range(0, words, step):
-        yield _run_words(run, states, lo, min(lo + step, words))
-
-
-def _run_words(run: Callable[..., SchemeResult], states: list[PureState], lo: int, hi: int):
-    try:
-        return run(*(PureState(s.dims, s.amps[lo:hi]) for s in states))
-    except (ValueError, ArithmeticError):
-        for w in range(lo, hi):
-            run(*(PureState(s.dims, s.amps[w : w + 1]) for s in states))
-        raise
+        yield run(*(PureState(s.dims, s.amps[lo : lo + step]) for s in states))
 
 
 def _feedforward(
@@ -170,16 +160,47 @@ def _feedforward(
 
 
 def _fuse(
+    scheme: str,
     flagged: PureState,
+    mass,
     t1: TriggerSet,
     t2: TriggerSet,
     model: BsmModel,
-) -> tuple[list[BsmOutcome], tuple[BranchOutcome, ...], float]:
-    """Bell-fuse the two flag qubits (subsystems 2 and 3) and correct."""
-    fused = apply(hadamard().on(3), flagged)
-    outcomes = _bell_outcomes(fused, model)
+    expected: Fraction,
+) -> SchemeResult:
+    """The tail both schemes share: Bell-fuse the two flag qubits
+    (subsystems 2 and 3) of the (d1, d2, 2, 2) flagged register, correct
+    each heralded branch, and check the simulation against `expected`.
+
+    `mass` is the simulated probability kept before the fusion, per word.
+    Times the heralded mass it must equal `expected` over the factor no
+    stage simulates: 1 for the router scheme, and for the flag ladder its
+    two-level gate successes (h/16)^(k1+k2), taken from the formula.
+    """
+    ladder = scheme == "state-independent"
+    k, h = len(t1) + len(t2), len(model.heralds)
+    from_formula = Fraction(h, 16) ** k if ladder else 1
+    # a model that heralds nothing has nothing left to divide
+    simulated = expected / from_formula if from_formula else expected
+    outcomes = _bell_outcomes(apply(hadamard().on(3), flagged), model)
     heralded = sum(o.probability for o in outcomes if o.label != "fail")
-    return outcomes, _feedforward(outcomes, t1, t2), heralded
+    off = _first_off(mass * heralded, float(simulated))
+    if off is not None:
+        raise ArithmeticError(
+            f"simulated success {off!r} deviates from {simulated} by more than "
+            f"{PROBABILITY_ATOL}"
+        )
+    branches = _feedforward(outcomes, t1, t2)
+    return SchemeResult(
+        scheme=scheme,
+        output=branches[0].output if branches else None,
+        success_probability=expected,
+        bsm_outcomes=tuple(outcomes),
+        ancilla_count=2 * k + 2 if ladder else 2,
+        nonlocal_gate_count=k if ladder else 1,
+        branches=branches,
+        resource_state=flagged,
+    )
 
 
 def run_state_dependent(
@@ -211,11 +232,9 @@ def _run_state_dependent(
     t2 = _as_trigger_set(c2, psi2.dim)
     expected = success_probability("state-dependent", len(t1), len(t2), model)
     d1, d2, k1, k2 = t1.dim, t2.dim, len(t1), len(t2)
-    # the largest of: the joint register before truncation, a router's
-    # two-photon matrix, and the flagged register beside its fused image
-    per_word = max(
-        d1 * d2 * (k1 + 1) * (k2 + 1), (d1 + k1 + 1) ** 2, (d2 + k2 + 1) ** 2, 8 * d1 * d2
-    )
+    # the larger of a router's two-photon matrix and the flagged register
+    # beside its fused image
+    per_word = max((d1 + k1 + 1) ** 2, (d2 + k2 + 1) ** 2, 8 * d1 * d2)
 
     return _by_slice(
         lambda psi1, psi2: _route_flag_fuse(psi1, psi2, t1, t2, model, expected),
@@ -232,36 +251,18 @@ def _route_flag_fuse(
     model: BsmModel,
     expected: Fraction,
 ) -> SchemeResult:
-    anc1, anc2 = prepare_ancillas(psi1, psi2, t1, t2)
-    reg1, p1 = _coincidence(route_with_ancilla(psi1, anc1, t1))
-    reg2, p2 = _coincidence(route_with_ancilla(psi2, anc2, t2))
-
-    joint = permute_subsystems(tensor(reg1, reg2), (0, 2, 1, 3))
-    pat1, _ = trigger_pattern(psi1, t1)
-    pat2, _ = trigger_pattern(psi2, t2)
-    joint = apply(ancilla_flag_unitary(pat1).on(2), joint)
-    joint = apply(ancilla_flag_unitary(pat2).on(3), joint)
-    # the flagged register is exactly two-level on each ancilla side
-    joint = truncate_subsystem(joint, 2, 2)
-    resource = truncate_subsystem(joint, 3, 2)
-
-    outcomes, branches, heralded = _fuse(resource, t1, t2, model)
-    measured = _first_off(p1 * p2 * heralded, float(expected))
-    if measured is not None:
-        raise ArithmeticError(
-            f"measured success {measured!r} deviates from {expected} by more than "
-            f"{PROBABILITY_ATOL}"
-        )
-    return SchemeResult(
-        scheme="state-dependent",
-        output=branches[0].output if branches else None,
-        success_probability=expected,
-        bsm_outcomes=tuple(outcomes),
-        ancilla_count=2,
-        nonlocal_gate_count=1,
-        branches=branches,
-        resource_state=resource,
-    )
+    # each register meets its own router and flag; the two first meet at
+    # the fusion
+    flagged, mass = [], 1.0
+    for psi, triggers in ((psi1, t1), (psi2, t2)):
+        pattern, _ = trigger_pattern(psi, triggers)
+        reg, kept = _coincidence(route_with_ancilla(psi, _ancilla(pattern), triggers))
+        reg = apply(ancilla_flag_unitary(pattern).on(1), reg)
+        # the flagged (register, ancilla) pair is exactly two-level on the ancilla
+        flagged.append(truncate_subsystem(reg, 1, 2))
+        mass = mass * kept
+    resource = permute_subsystems(tensor(*flagged), (0, 2, 1, 3))
+    return _fuse("state-dependent", resource, mass, t1, t2, model, expected)
 
 
 _VERIFIED: dict[tuple[int, int], Unitary] = {}
@@ -358,23 +359,6 @@ def _ladder_fuse(
         reg = PureState(reg.dims, reg.amps * signs)
         reg = apply(hadamard().on(fsub), reg)
 
-    outcomes, branches, heralded = _fuse(reg, t1, t2, model)
-    # the flag ladder's gate successes are accounted in the formula; the
-    # simulated fusion must still carry its share of the mass
-    herald_mass = _first_off(heralded, len(model.heralds) / 4.0)
-    if herald_mass is not None:
-        raise ArithmeticError(
-            f"fusion herald mass {herald_mass!r} deviates from {len(model.heralds)}/4"
-        )
-    k = len(t1) + len(t2)
-    return SchemeResult(
-        scheme="state-independent",
-        output=branches[0].output if branches else None,
-        success_probability=expected,
-        bsm_outcomes=tuple(outcomes),
-        ancilla_count=2 * k + 2,
-        nonlocal_gate_count=k,
-        branches=branches,
-        resource_state=reg,
-    )
+    # the ladder's sign multiplies keep the whole mass
+    return _fuse("state-independent", reg, 1.0, t1, t2, model, expected)
 

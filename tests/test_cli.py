@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -138,6 +140,22 @@ class TestCompress:
         assert code == 0
         for row in json.loads(out)["rows"]:
             assert row["success_probability"]["fraction"] == "1/1"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_fraction_beyond_the_int_digit_limit(self, capsys, tmp_path, fmt):
+        # the standard row, 1/9^8192, has more digits than CPython turns
+        # into text by default
+        circuit = tmp_path / "c.json"
+        layout = tmp_path / "l.json"
+        circuit.write_text(json.dumps({"qubits": 15, "gates": [{"kind": "cx", "operands": [0, 14]}]}))
+        layout.write_text(json.dumps({"groups": [list(range(13)), [13, 14]]}))
+        code, out, err = run(capsys, ["compress", str(circuit), str(layout), "--format", fmt])
+        assert (code, err) == (0, "")
+        # the test cannot print 9^8192 either, so it checks the digit count
+        # and the last digits
+        (standard,) = re.findall(r"1/(\d{5000,})", out)
+        assert len(standard) == math.floor(8192 * math.log10(9)) + 1
+        assert standard.endswith(f"{pow(9, 8192, 10**20):020d}")
 
     def test_malformed_json_mentions_line(self, capsys, tmp_path):
         circuit = tmp_path / "c.json"

@@ -90,3 +90,92 @@ def test_finds_an_unused_private_name():
 def test_no_unused_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert unused_private_names(sources) == []
+
+
+ROOT = PACKAGE.parent.parent
+CALLERS = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+
+
+def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
+    """(function, parameter, position) for every parameter with a default
+    of every function and method. The position counts from the first
+    argument a caller writes, so past self/cls; a keyword-only parameter
+    has none."""
+    found = []
+
+    def visit(node: ast.AST, in_class: bool):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                bound = int(in_class and not static and bool(positional))
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    found.append((child.name, arg.arg, i - bound))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.append((child.name, arg.arg, None))
+                visit(child, False)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def passed_arguments(sources: list[str]) -> set[tuple[str, str | int]]:
+    """(callee, keyword or position) for every argument of every call, by
+    the callee's bare name; a call that unpacks *args or **kwargs counts as
+    passing everything."""
+    passed: set[tuple[str, str | int]] = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is None:
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            ):
+                passed.add((name, "*"))
+            passed.update((name, i) for i in range(len(node.args)))
+            passed.update((name, k.arg) for k in node.keywords if k.arg is not None)
+    return passed
+
+
+def never_passed_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
+    passed = passed_arguments(callers)
+    return [
+        f"{module}: {func}({param})"
+        for module, text in package.items()
+        for func, param, position in defaulted_parameters(text)
+        if not {(func, param), (func, position), (func, "*")} & passed
+    ]
+
+
+def test_finds_a_default_no_caller_passes():
+    package = {
+        "a.py": (
+            "def f(x, y=1, *, z=2):\n    return x\n"
+            "class C:\n"
+            "    def m(self, a=0, b=0):\n        return a\n"
+            "    @classmethod\n    def make(cls, k=None):\n        return cls()\n"
+            "    @staticmethod\n    def s(q=0):\n        return q\n"
+        )
+    }
+    callers = ["f(1, 2)\nC().m(5)\nC.make()\nC.s(z=3)\nf(0, z=4)\n"]
+    assert never_passed_defaults(package, callers) == [
+        "a.py: m(b)", "a.py: make(k)", "a.py: s(q)"
+    ]
+
+
+def test_every_default_is_passed_somewhere():
+    """A default no caller in the package, its tests or its benchmark ever
+    overrides is a constant in disguise; name it instead."""
+    package = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    callers = [p.read_text(encoding="utf-8") for p in CALLERS]
+    assert never_passed_defaults(package, callers) == []

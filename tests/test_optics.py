@@ -88,6 +88,18 @@ class TestEvolutionAgainstPermanentOracle:
         assert worst < 1e-10
 
 
+class TestShapeChecks:
+    """A 0-d array is refused by the shape check, like any non-square one."""
+
+    def test_mode_unitary_rejects_a_scalar(self):
+        with pytest.raises(ValueError, match="square"):
+            ModeUnitary(np.array(1.0))
+
+    def test_two_photon_state_rejects_a_scalar(self):
+        with pytest.raises(ValueError, match="square"):
+            TwoPhotonState(np.array(1.0), 1)
+
+
 class TestPhotonConfig:
     def test_occupancy_and_coincidence(self):
         c = PhotonConfig((1, 4), split=3)

@@ -81,6 +81,10 @@ class TestUnitary:
         u = hadamard().on(2)
         assert u.targets == (2,)
 
+    def test_hadamard_is_validated_once(self):
+        assert hadamard() is hadamard()
+        assert not hadamard().entries.flags.writeable
+
     def test_on_shares_validated_entries(self):
         u = hadamard()
         bound = u.on(1)

@@ -305,6 +305,26 @@ class TestSignMultiplies:
         assert np.array_equal(reg.amps * first * second, want.amps)
 
 
+class TestProbabilityCheck:
+    """Each scheme checks its simulated success against the exact one, so a
+    wrong formula value cannot pass silently."""
+
+    @pytest.fixture(autouse=True)
+    def wrong_formula(self, monkeypatch):
+        monkeypatch.setattr(schemes, "success_probability", lambda *_: Fraction(1, 3))
+
+    def test_state_dependent(self):
+        rng = np.random.default_rng(113)
+        psi1, psi2 = random_state((4,), rng), random_state((3,), rng)
+        with pytest.raises(ArithmeticError):
+            run_state_dependent(psi1, psi2, (1, 2), (0,))
+
+    def test_state_independent(self):
+        rng = np.random.default_rng(127)
+        with pytest.raises(ArithmeticError):
+            run_state_independent_joint(random_state((4, 3), rng), (1, 2), (0,))
+
+
 class TestVerifiedGate:
     def test_matches_logical_matrix(self):
         u = verified_two_level_cz(3, 2)
