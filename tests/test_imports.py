@@ -107,7 +107,7 @@ def defaulted_parameters(source: str) -> list[tuple[str, str, int | None]]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 visit(child, True)
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            elif isinstance(child, ast.FunctionDef):
                 args = child.args
                 positional = args.posonlyargs + args.args
                 static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
