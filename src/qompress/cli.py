@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -95,6 +96,24 @@ def _fraction_text(f: Fraction) -> str:
         return f"{f.numerator}/{f.denominator}"
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _sci_text(f: Fraction) -> str:
+    """f in `.3e` form. A positive f below the smallest double would print
+    as 0.000e+00 through float, so its text is rounded from f exactly."""
+    x = float(f)
+    if x != 0.0 or f <= 0:
+        return f"{x:.3e}"
+    # log10 of the parts is within one of the exponent; the exact test fixes it
+    e = math.floor(math.log10(f.numerator) - math.log10(f.denominator))
+    if f < Fraction(10) ** e:
+        e -= 1
+    elif f >= Fraction(10) ** (e + 1):
+        e += 1
+    digits = round(f / Fraction(10) ** (e - 3))
+    if digits == 10_000:
+        digits, e = 1000, e + 1
+    return f"{digits // 1000}.{digits % 1000:03d}e{e:+03d}"
 
 
 def _fraction_payload(f: Fraction) -> dict:
@@ -242,7 +261,7 @@ def cmd_compress(args) -> int:
         )
     lines.append(f"{'backend':<18} {'gates':>5} {'success':>24} {'ancillas':>8}  legal")
     for r in report.rows:
-        prob = f"{_fraction_text(r.success_probability)} ({float(r.success_probability):.3e})"
+        prob = f"{_fraction_text(r.success_probability)} ({_sci_text(r.success_probability)})"
         lines.append(f"{r.backend:<18} {r.gate_count:>5} {prob:>24} {r.ancilla_count:>8}  {r.legal}")
         if r.reason:
             lines.append(f"  note: {r.reason}")

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from importlib import resources
+from operator import attrgetter
 
 import numpy as np
 
 from .mcz import BsmModel, TriggerSet, _signs
-from .qstate import PureState, apply, hadamard
+from .qstate import PureState, _hadamard_axis
 from .schemes import _run_state_dependent, _run_state_independent, success_probability
 
 BACKENDS = ("uncompressed", "standard", "state-dependent", "state-independent")
@@ -122,7 +123,9 @@ class QuditLayout:
 def _load_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # besides a syntax error (JSONDecodeError), an integer past CPython's
+        # int digit limit raises ValueError and deep nesting RecursionError
         raise CircuitFormatError(f"not valid JSON: {e}") from None
 
 
@@ -326,8 +329,7 @@ def cost_report(circuit: CircuitIR, layout: QuditLayout) -> CostReport:
 
 def _hadamard(reg: np.ndarray, n: int, axis: int) -> np.ndarray:
     """Hadamard on one qubit axis of the (words, 2, ..., 2) view of an n-qubit register."""
-    qubits = PureState((2,) * n, reg.reshape((-1,) + (2,) * n))
-    return apply(hadamard().on(axis), qubits).amps.reshape(reg.shape)
+    return _hadamard_axis(reg.reshape((-1,) + (2,) * n), 1 + axis).reshape(reg.shape)
 
 
 def _scheme_crossing(reg: np.ndarray, deriv: TriggerDerivation, backend: str):
@@ -351,7 +353,7 @@ def _scheme_crossing(reg: np.ndarray, deriv: TriggerDerivation, backend: str):
     if backend == "state-independent":
         scale = np.linalg.norm(x, axis=(1, 2))
         x /= scale[:, None, None]
-        joint = PureState((d1, d2), x)
+        joint = PureState._fresh((d1, d2), x)
         runs = _run_state_independent(joint, deriv.first, deriv.second, "fast", model)
     else:
         # one crossing only, so every slice is a product a bᵀ: a is read off
@@ -363,16 +365,16 @@ def _scheme_crossing(reg: np.ndarray, deriv: TriggerDerivation, backend: str):
         b /= np.linalg.norm(b, axis=1, keepdims=True)
         scale = np.einsum("wi,wj,wij->w", a.conj(), b.conj(), x)
         runs = _run_state_dependent(
-            PureState((d1,), a), PureState((d2,), b), deriv.first, deriv.second, model
+            PureState._fresh((d1,), a), PureState._fresh((d2,), b), deriv.first, deriv.second, model
         )
 
     def place() -> np.ndarray:
         out = np.zeros((total, d1, d2), dtype=complex)
         done = 0
         # the scheme hands its words back a slice at a time; each is written
-        # into place before the next one runs
-        for res in runs:
-            amps = res.output.amps
+        # into place before the next one runs, and only its output is kept
+        # while that one runs
+        for amps in map(attrgetter("output.amps"), runs):
             out[live[done : done + len(amps)]] = amps * scale[done : done + len(amps), None, None]
             done += len(amps)
         return out.reshape(shape).transpose(np.argsort(perm))

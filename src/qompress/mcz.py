@@ -79,9 +79,14 @@ def _signs(*triggers: TriggerSet) -> np.ndarray:
     return signs
 
 
+def _diagonal(signs: np.ndarray) -> Unitary:
+    """The diagonal matrix of a ±1 sign array, read in C order."""
+    return Unitary._trusted(np.diag(np.ravel(signs)).astype(complex))
+
+
 def multi_level_cz(d1: int, d2: int, c1, c2) -> Unitary:
     """Sign flip exactly on the product of the two trigger sets."""
-    return Unitary._diagonal(_signs(_as_trigger_set(c1, d1), _as_trigger_set(c2, d2)))
+    return _diagonal(_signs(_as_trigger_set(c1, d1), _as_trigger_set(c2, d2)))
 
 
 def two_level_cz(d: int) -> Unitary:
@@ -89,7 +94,7 @@ def two_level_cz(d: int) -> Unitary:
 
 
 def correction_unitary(triggers: TriggerSet) -> Unitary:
-    return Unitary._diagonal(_signs(triggers))
+    return _diagonal(_signs(triggers))
 
 
 def trigger_pattern(state: PureState, triggers: TriggerSet) -> tuple[np.ndarray, float]:
@@ -122,12 +127,14 @@ def _ancilla(pattern: np.ndarray) -> PureState:
     """One router's ancilla photon for a trigger pattern, per word."""
     pass_rail = np.ones(pattern.shape[:-1] + (1,))
     amps = np.concatenate([pattern, pass_rail], axis=-1) / np.sqrt(2.0)
-    return PureState((pattern.shape[-1] + 1,), amps)
+    return PureState._fresh((pattern.shape[-1] + 1,), amps)
 
 
 def ancilla_flag_unitary(pattern: np.ndarray) -> Unitary:
     """Mode unitary that maps the pass rail to level 0 and the pattern
     state to level 1, completing the rest with a Householder reflection.
+    The closed form is unitary by construction, so only the pattern, which
+    a caller hands in, is checked.
 
     Leading axes of `pattern` give one unitary per word."""
     pattern = np.asarray(pattern, dtype=complex)
@@ -145,7 +152,7 @@ def ancilla_flag_unitary(pattern: np.ndarray) -> Unitary:
     mat[..., 0, k] = 1.0
     mat[..., 1, :k] = pattern.conj()
     mat[..., 2:, :k] = reflection[..., 1:, :]
-    return Unitary(mat)
+    return Unitary._trusted(mat)
 
 
 @dataclass(frozen=True)
@@ -211,14 +218,16 @@ def _bell_outcomes(state: PureState, model: BsmModel) -> list[BsmOutcome]:
             continue
         vec = _BELL[label].reshape(2, 2)
         front = np.tensordot(state.amps, vec.conj(), axes=([-2, -1], [0, 1]))
-        prob = np.sum(np.abs(front) ** 2, axis=front_axes)
+        mass = np.abs(front)
+        mass *= mass
+        prob = np.sum(mass, axis=front_axes)
         heralded_mass = heralded_mass + prob
         kept = prob > 1e-14
         conditional = None
         if np.any(kept):
-            amps = front / np.sqrt(np.where(kept, prob, 1.0))[per_word]
-            amps[~kept] = 0.0
-            conditional = PureState(front_dims, amps)
+            front /= np.sqrt(np.where(kept, prob, 1.0))[per_word]
+            front[~kept] = 0.0
+            conditional = PureState._fresh(front_dims, front)
         outcomes.append(BsmOutcome(label, prob if state.batch else float(prob), conditional))
     if model.heralds != _ALL_HERALDS:
         fail = np.maximum(0.0, state.norm**2 - heralded_mass)

@@ -103,14 +103,8 @@ class TwoPhotonState:
     def product(cls, first: np.ndarray, second: np.ndarray) -> "TwoPhotonState":
         """One photon carrying `first` on the first port group, one carrying
         `second` on the other; leading axes are batch axes."""
-        first = np.asarray(first, dtype=complex)
-        second = np.asarray(second, dtype=complex)
-        n1, n2 = first.shape[-1], second.shape[-1]
-        v = np.concatenate([first, np.zeros(first.shape[:-1] + (n2,))], axis=-1)
-        w = np.concatenate([np.zeros(second.shape[:-1] + (n1,)), second], axis=-1)
-        outer_vw = v[..., :, None] * w[..., None, :]
-        outer_wv = w[..., :, None] * v[..., None, :]
-        return cls((outer_vw + outer_wv) / 2.0, n1)
+        v, w = _port_vectors(first, second)
+        return cls(_pair_coeff(v, w), np.shape(first)[-1])
 
     @classmethod
     def pair_basis(cls, n: int, split: int, p: int, q: int) -> "TwoPhotonState":
@@ -129,6 +123,27 @@ class TwoPhotonState:
     @property
     def norm(self) -> float:
         return float(np.sqrt(2.0) * np.linalg.norm(self.coeff))
+
+
+def _port_vectors(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two photons' mode vectors over both port groups, each padded
+    with zeros on the other group."""
+    first = np.asarray(first, dtype=complex)
+    second = np.asarray(second, dtype=complex)
+    n1, n2 = first.shape[-1], second.shape[-1]
+    v = np.concatenate([first, np.zeros(first.shape[:-1] + (n2,))], axis=-1)
+    w = np.concatenate([np.zeros(second.shape[:-1] + (n1,)), second], axis=-1)
+    return v, w
+
+
+def _pair_coeff(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The coefficient matrix (v wᵀ + w vᵀ)/2 of one photon in mode vector
+    v and one in w. Entries (p, q) and (q, p) sum the same two complex
+    products, so it is symmetric up to their rounding by construction."""
+    coeff = v[..., :, None] * w[..., None, :]
+    coeff += w[..., :, None] * v[..., None, :]
+    coeff /= 2.0
+    return coeff
 
 
 def evolve_two_photon(u: ModeUnitary, state: TwoPhotonState) -> TwoPhotonState:
@@ -162,7 +177,7 @@ def _coincidence(state: TwoPhotonState):
     low = np.flatnonzero(prob < _COINCIDENCE_CUTOFF)
     if low.size:
         raise ValueError(f"coincidence probability {prob.flat[low[0]]:.3e} below cutoff")
-    return PureState((s, n - s), block / np.sqrt(prob)[..., None, None]), prob
+    return PureState._fresh((s, n - s), block / np.sqrt(prob)[..., None, None]), prob
 
 
 def smr_abstract(x: int, y: int, triggers, d: int) -> PhotonConfig:
@@ -190,8 +205,17 @@ def smr_abstract(x: int, y: int, triggers, d: int) -> PhotonConfig:
 def pair_swap_mesh(n_first: int, n_second: int, pairs: Iterable[tuple[int, int]]) -> ModeUnitary:
     """Permutation coupling first-group mode p with second-group mode q for
     every (p, q) pair; all other modes pass straight through."""
-    n = n_first + n_second
-    image = list(range(n))
+    image = _swap_image(n_first, n_second, pairs)
+    n = len(image)
+    mesh = np.zeros((n, n))
+    mesh[image, range(n)] = 1.0
+    return ModeUnitary(mesh)
+
+
+def _swap_image(n_first: int, n_second: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Where each mode goes under pair_swap_mesh. Each pair is a swap, so
+    the image is its own inverse."""
+    image = list(range(n_first + n_second))
     seen: set[int] = set()
     for p, q in pairs:
         if not (0 <= p < n_first and 0 <= q < n_second):
@@ -201,9 +225,7 @@ def pair_swap_mesh(n_first: int, n_second: int, pairs: Iterable[tuple[int, int]]
             raise ValueError(f"mode reused in pair {(p, q)}")
         seen.update((a, b))
         image[a], image[b] = b, a
-    mesh = np.zeros((n, n))
-    mesh[image, range(n)] = 1.0
-    return ModeUnitary(mesh)
+    return image
 
 
 def build_smr_mesh(d: int, triggers) -> ModeUnitary:
@@ -216,7 +238,10 @@ def route_with_ancilla(qudit: PureState, ancilla: PureState, triggers) -> TwoPho
     word by word for batched registers.
 
     Trigger rail i of the qudit couples to ancilla rail i; the last
-    ancilla rail is the pass mode and never couples.
+    ancilla rail is the pass mode and never couples. The router is the
+    permutation mesh of pair_swap_mesh, and a permutation U only relabels
+    modes: U M Uᵀ is M with rows and columns permuted by the swap image,
+    here applied to the two photons' mode vectors before their product.
     """
     indices = _trigger_indices(triggers)
     d = qudit.dim
@@ -224,8 +249,15 @@ def route_with_ancilla(qudit: PureState, ancilla: PureState, triggers) -> TwoPho
         raise ValueError(
             f"ancilla dim {ancilla.dim} does not match {len(indices)} triggers"
         )
-    state = TwoPhotonState.product(
+    image = _swap_image(d, ancilla.dim, [(c, i) for i, c in enumerate(indices)])
+    v, w = _port_vectors(
         qudit.amps.reshape(qudit.batch + (d,)), ancilla.amps.reshape(ancilla.batch + (-1,))
     )
-    mesh = pair_swap_mesh(d, ancilla.dim, [(c, i) for i, c in enumerate(indices)])
-    return evolve_two_photon(mesh, state)
+    v, w = v[..., image], w[..., image]
+    # _pair_coeff is symmetric by construction, so the check is skipped
+    coeff = _pair_coeff(v, w)
+    coeff.setflags(write=False)
+    state = object.__new__(TwoPhotonState)
+    object.__setattr__(state, "coeff", coeff)
+    object.__setattr__(state, "split", d)
+    return state

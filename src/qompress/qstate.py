@@ -23,6 +23,20 @@ NORM_ATOL = 1e-8
 _TRUNCATION_ATOL = 1e-12
 
 
+def _fit(dims, amps) -> tuple[tuple[int, ...], np.ndarray]:
+    """Checked dims, and amps as a complex array of shape batch + dims."""
+    checked = tuple(int(d) for d in dims)
+    if not checked or any(d < 1 for d in checked):
+        raise ValueError(f"bad dims {dims!r}")
+    dims, amps = checked, np.asarray(amps, dtype=complex)
+    lead = amps.ndim - len(dims)
+    if lead > 0 and amps.shape[lead:] == dims:
+        return dims, amps
+    if amps.size == math.prod(dims):
+        return dims, amps.reshape(dims)
+    raise ValueError(f"amplitude count {amps.size} does not fit dims {dims}")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Amplitude tensor over a tuple of subsystem dimensions.
@@ -37,21 +51,23 @@ class PureState:
     amps: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError(f"bad dims {self.dims!r}")
-        amps = np.asarray(self.amps, dtype=complex)
-        lead = amps.ndim - len(dims)
-        if lead > 0 and amps.shape[lead:] == dims:
-            shape = amps.shape
-        elif amps.size == math.prod(dims):
-            shape = dims
-        else:
-            raise ValueError(f"amplitude count {amps.size} does not fit dims {dims}")
-        amps = amps.reshape(shape).copy()
+        dims, amps = _fit(self.dims, self.amps)
+        amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amps", amps)
+
+    @classmethod
+    def _fresh(cls, dims: tuple[int, ...], amps: np.ndarray) -> "PureState":
+        """A state over an array a stage has just computed. The checks are
+        the constructor's, but the array is frozen as it is, not copied, so
+        the caller hands it over and keeps no writable reference to it."""
+        dims, amps = _fit(dims, amps)
+        amps.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "dims", dims)
+        object.__setattr__(state, "amps", amps)
+        return state
 
     @classmethod
     def basis(cls, dims: tuple[int, ...], index: tuple[int, ...]) -> "PureState":
@@ -74,7 +90,11 @@ class PureState:
         """The norm, one per word for a batched state."""
         if not self.batch:
             return float(np.linalg.norm(self.amps))
-        return np.linalg.norm(self.amps.reshape(self.batch + (-1,)), axis=-1)
+        # per word, without the squared-modulus copy of the whole batch that
+        # np.linalg.norm makes along an axis
+        flat = self.amps.reshape(self.batch + (-1,))
+        re, im = flat.real, flat.imag
+        return np.sqrt(np.einsum("...i,...i->...", re, re) + np.einsum("...i,...i->...", im, im))
 
 
 @dataclass(frozen=True)
@@ -102,10 +122,9 @@ class Unitary:
             object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
 
     @classmethod
-    def _diagonal(cls, signs: np.ndarray) -> "Unitary":
-        """The diagonal matrix of a ±1 sign array, read in C order. It is
-        exactly unitary, so the unitarity check is skipped."""
-        entries = np.diag(np.ravel(signs)).astype(complex)
+    def _trusted(cls, entries: np.ndarray) -> "Unitary":
+        """A complex matrix the package built to be unitary (a ±1 diagonal,
+        the closed-form flag unitary), wrapped without the check or a copy."""
         entries.setflags(write=False)
         u = object.__new__(cls)
         object.__setattr__(u, "entries", entries)
@@ -126,12 +145,12 @@ class Unitary:
 
 def tensor(a: PureState, b: PureState) -> PureState:
     if not (a.batch or b.batch):
-        return PureState(a.dims + b.dims, np.tensordot(a.amps, b.amps, axes=0))
+        return PureState._fresh(a.dims + b.dims, np.tensordot(a.amps, b.amps, axes=0))
     # np.tensordot cannot carry a batch axis, so a batch takes one outer
     # product per word by broadcasting; single states keep tensordot's digits
     left = a.amps.reshape(a.amps.shape + (1,) * len(b.dims))
     right = b.amps.reshape(b.batch + (1,) * len(a.dims) + b.dims)
-    return PureState(a.dims + b.dims, left * right)
+    return PureState._fresh(a.dims + b.dims, left * right)
 
 
 def apply(u: Unitary, state: PureState) -> PureState:
@@ -151,7 +170,7 @@ def apply(u: Unitary, state: PureState) -> PureState:
     front = range(len(batch), len(batch) + len(targets))
     moved = np.moveaxis(state.amps, axes, front)
     out = (u.entries @ moved.reshape(batch + (dt, -1))).reshape(moved.shape)
-    return PureState(state.dims, np.moveaxis(out, front, axes))
+    return PureState._fresh(state.dims, np.moveaxis(out, front, axes))
 
 
 def permute_subsystems(state: PureState, order: tuple[int, ...]) -> PureState:
@@ -160,7 +179,9 @@ def permute_subsystems(state: PureState, order: tuple[int, ...]) -> PureState:
         raise ValueError(f"{order} is not a permutation of the subsystems")
     dims = tuple(state.dims[i] for i in order)
     nb = len(state.batch)
-    return PureState(dims, state.amps.transpose(tuple(range(nb)) + tuple(nb + i for i in order)))
+    return PureState._fresh(
+        dims, state.amps.transpose(tuple(range(nb)) + tuple(nb + i for i in order))
+    )
 
 
 def truncate_subsystem(state: PureState, sub: int, new_dim: int) -> PureState:
@@ -182,7 +203,7 @@ def truncate_subsystem(state: PureState, sub: int, new_dim: int) -> PureState:
     sl[len(batch) + sub] = slice(0, new_dim)
     dims = list(state.dims)
     dims[sub] = new_dim
-    return PureState(tuple(dims), state.amps[tuple(sl)])
+    return PureState._fresh(tuple(dims), state.amps[tuple(sl)])
 
 
 def fidelity_up_to_phase(a: PureState, b: PureState) -> float:
@@ -203,6 +224,19 @@ def random_state(dims: tuple[int, ...], rng: np.random.Generator) -> PureState:
 
 
 _HADAMARD = Unitary(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+_H = _HADAMARD.entries[0, 0].real
+
+
+def _hadamard_axis(amps: np.ndarray, axis: int) -> np.ndarray:
+    """The Hadamard on one size-2 axis of an amplitude array, as the sum
+    and the difference of its two halves, into a new C-ordered array."""
+    axis %= amps.ndim
+    lo, hi = (slice(None),) * axis + (0,), (slice(None),) * axis + (1,)
+    out = np.empty(amps.shape, dtype=complex)
+    np.add(amps[lo], amps[hi], out=out[lo])
+    np.subtract(amps[lo], amps[hi], out=out[hi])
+    out *= _H
+    return out
 
 
 def hadamard() -> Unitary:

@@ -40,8 +40,9 @@ from .qstate import (
     NORM_ATOL,
     PureState,
     Unitary,
+    _H,
+    _hadamard_axis,
     apply,
-    hadamard,
     permute_subsystems,
     tensor,
     truncate_subsystem,
@@ -127,11 +128,12 @@ def _by_slice(
 ) -> Iterator[SchemeResult]:
     """Run the scheme on the words of `states` a slice at a time.
 
-    `per_word` is the scheme's working memory for one word, in amplitudes.
-    A slice holds as many words as fit it within the amplitudes of the
-    whole batch's (words, d1, d2) product register, the one the dense
-    backends build; an unbatched input is one slice. Every check reports
-    the lowest failing word of its slice.
+    `per_word` is the scheme's working memory for one word, in amplitudes:
+    every array a slice has live at once, the SchemeResult it yields
+    included. A slice holds as many words as fit it within the amplitudes
+    of the whole batch's (words, d1, d2) product register, the one the
+    dense backends build; an unbatched input is one slice. Every check
+    reports the lowest failing word of its slice.
     """
     if not states[0].batch:
         yield run(*states)
@@ -139,7 +141,7 @@ def _by_slice(
     words, d1d2 = states[0].batch[0], math.prod(s.dim for s in states)
     step = max(1, words * d1d2 // per_word)
     for lo in range(0, words, step):
-        yield run(*(PureState(s.dims, s.amps[lo : lo + step]) for s in states))
+        yield run(*(PureState._fresh(s.dims, s.amps[lo : lo + step]) for s in states))
 
 
 def _feedforward(
@@ -152,11 +154,20 @@ def _feedforward(
         if o.label == "fail" or o.state is None:
             continue
         out = o.state
-        for fix, signs in zip(_CORRECTIONS[o.label], flips):
-            if fix:
-                out = PureState(out.dims, out.amps * signs)
+        fixes = [signs for fix, signs in zip(_CORRECTIONS[o.label], flips) if fix]
+        if fixes:
+            out = PureState._fresh(out.dims, out.amps * math.prod(fixes))
         branches.append(BranchOutcome(o.label, o.probability, out))
     return tuple(branches)
+
+
+def _fuse_words(d1: int, d2: int, model: BsmModel) -> int:
+    """Amplitudes per word live at once in the fusion tail: the flagged
+    register and its fused image (4·d1·d2 each) beside one conditional
+    state per heralded outcome and a modulus buffer (d1·d2 each), plus the
+    word's probabilities and masks (8). The corrected branches come after
+    the fused image is gone."""
+    return (9 + len(model.heralds)) * d1 * d2 + 8
 
 
 def _fuse(
@@ -182,7 +193,9 @@ def _fuse(
     from_formula = Fraction(h, 16) ** k if ladder else 1
     # a model that heralds nothing has nothing left to divide
     simulated = expected / from_formula if from_formula else expected
-    outcomes = _bell_outcomes(apply(hadamard().on(3), flagged), model)
+    outcomes = _bell_outcomes(
+        PureState._fresh(flagged.dims, _hadamard_axis(flagged.amps, -1)), model
+    )
     heralded = sum(o.probability for o in outcomes if o.label != "fail")
     off = _first_off(mass * heralded, float(simulated))
     if off is not None:
@@ -232,9 +245,16 @@ def _run_state_dependent(
     t2 = _as_trigger_set(c2, psi2.dim)
     expected = success_probability("state-dependent", len(t1), len(t2), model)
     d1, d2, k1, k2 = t1.dim, t2.dim, len(t1), len(t2)
-    # the larger of a router's two-photon matrix and the flagged register
-    # beside its fused image
-    per_word = max((d1 + k1 + 1) ** 2, (d2 + k2 + 1) ** 2, 8 * d1 * d2)
+    # a router's n-mode two-photon matrix beside the product it is summed
+    # from and its photons' mode vectors, 2n(n+2), the second one beside
+    # the first register's flagged (d1, k1+1) result; then the fusion tail
+    # beside both flagged registers
+    n1, n2 = d1 + k1 + 1, d2 + k2 + 1
+    per_word = max(
+        2 * n1 * (n1 + 2),
+        2 * n2 * (n2 + 2) + d1 * (k1 + 1),
+        _fuse_words(d1, d2, model) + d1 * (k1 + 1) + d2 * (k2 + 1),
+    )
 
     return _by_slice(
         lambda psi1, psi2: _route_flag_fuse(psi1, psi2, t1, t2, model, expected),
@@ -253,16 +273,20 @@ def _route_flag_fuse(
 ) -> SchemeResult:
     # each register meets its own router and flag; the two first meet at
     # the fusion
-    flagged, mass = [], 1.0
-    for psi, triggers in ((psi1, t1), (psi2, t2)):
-        pattern, _ = trigger_pattern(psi, triggers)
-        reg, kept = _coincidence(route_with_ancilla(psi, _ancilla(pattern), triggers))
-        reg = apply(ancilla_flag_unitary(pattern).on(1), reg)
-        # the flagged (register, ancilla) pair is exactly two-level on the ancilla
-        flagged.append(truncate_subsystem(reg, 1, 2))
-        mass = mass * kept
-    resource = permute_subsystems(tensor(*flagged), (0, 2, 1, 3))
-    return _fuse("state-dependent", resource, mass, t1, t2, model, expected)
+    (flag1, kept1), (flag2, kept2) = _route_flag(psi1, t1), _route_flag(psi2, t2)
+    resource = permute_subsystems(tensor(flag1, flag2), (0, 2, 1, 3))
+    return _fuse("state-dependent", resource, kept1 * kept2, t1, t2, model, expected)
+
+
+def _route_flag(psi: PureState, triggers: TriggerSet) -> tuple[PureState, np.ndarray]:
+    """One register through its ancilla, router, coincidence and flag
+    unitary, with the coincidence mass it kept per word. The result is a
+    view of the (d, k+1) flagged register, truncated to two flag levels."""
+    pattern, _ = trigger_pattern(psi, triggers)
+    reg, kept = _coincidence(route_with_ancilla(psi, _ancilla(pattern), triggers))
+    reg = apply(ancilla_flag_unitary(pattern).on(1), reg)
+    # the flagged (register, ancilla) pair is exactly two-level on the ancilla
+    return truncate_subsystem(reg, 1, 2), kept
 
 
 _VERIFIED: dict[tuple[int, int], Unitary] = {}
@@ -338,10 +362,12 @@ def _run_state_independent(
     ladders = [_signs(t1, _FLAG)[:, None, :, None], _signs(t2, _FLAG)[:, None, :]]
     expected = success_probability("state-independent", len(t1), len(t2), model)
 
-    # the (d1, d2, 2, 2) flag register beside its image under each gate, and
-    # beside the fused register it is measured from
+    # the ladder holds at most the (d1, d2, 2, 2) register beside its image
+    # under one Hadamard, less than the fusion tail
     return _by_slice(
-        lambda joint: _ladder_fuse(joint, t1, t2, ladders, model, expected), [joint], 8 * d1 * d2
+        lambda joint: _ladder_fuse(joint, t1, t2, ladders, model, expected),
+        [joint],
+        _fuse_words(d1, d2, model),
     )
 
 
@@ -353,11 +379,14 @@ def _ladder_fuse(
     model: BsmModel,
     expected: Fraction,
 ) -> SchemeResult:
-    reg = tensor(joint, PureState.basis((2, 2), (0, 0)))
-    for fsub, signs in zip((2, 3), ladders):
-        reg = apply(hadamard().on(fsub), reg)
-        reg = PureState(reg.dims, reg.amps * signs)
-        reg = apply(hadamard().on(fsub), reg)
+    # each flag joins as a new last axis in state 0, where its first
+    # Hadamard leaves h·amplitude on both levels; the sign multiply and the
+    # second Hadamard follow on that axis
+    amps = joint.amps
+    for signs in (ladders[0][..., 0], ladders[1]):
+        amps = (amps * _H)[..., None] * signs
+        amps = _hadamard_axis(amps, -1)
+    reg = PureState._fresh(joint.dims + (2, 2), amps)
 
     # the ladder's sign multiplies keep the whole mass
     return _fuse("state-independent", reg, 1.0, t1, t2, model, expected)

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qompress.cli import main, run_claims
+from qompress.cli import _sci_text, main, run_claims
 from qompress.compress import cost_report, parse_circuit, parse_layout
 
 
@@ -157,6 +163,39 @@ class TestCompress:
         assert len(standard) == math.floor(8192 * math.log10(9)) + 1
         assert standard.endswith(f"{pow(9, 8192, 10**20):020d}")
 
+    def test_probabilities_below_the_smallest_double_keep_their_magnitude(self, capsys, tmp_path):
+        circuit = tmp_path / "c.json"
+        layout = tmp_path / "l.json"
+        circuit.write_text(json.dumps({"qubits": 15, "gates": [{"kind": "cx", "operands": [0, 14]}]}))
+        layout.write_text(json.dumps({"groups": [list(range(13)), [13, 14]]}))
+        code, out, _ = run(capsys, ["compress", str(circuit), str(layout)])
+        assert code == 0
+        rows = {line.split()[0]: line for line in out.splitlines()[2:]}
+        # 1/9^8192 and 1/(2·16^4098)
+        assert rows["standard"].endswith(" (7.004e-7818)        0  True")
+        assert rows["state-independent"].endswith(" (6.858e-3702)     8198  True")
+        assert rows["uncompressed"].endswith(" (1.111e-01)        0  True")
+        code, out, _ = run(capsys, ["compress", str(circuit), str(layout), "--format", "json"])
+        floats = {r["backend"]: r["success_probability"]["float"] for r in json.loads(out)["rows"]}
+        # JSON keeps an IEEE double, which reads 0.0 this far down
+        assert floats["standard"] == floats["state-independent"] == 0.0
+
+    @pytest.mark.parametrize("f", [
+        Fraction(1, 9), Fraction(1, 6561), Fraction(1, 1048576), Fraction(0), Fraction(1),
+        Fraction(99995, 10**5), Fraction(1, 3 * 10**300), Fraction(1, 10**310), Fraction(7, 10**323),
+    ])
+    def test_sci_text_matches_float_wherever_a_double_holds_the_value(self, f):
+        assert _sci_text(f) == f"{float(f):.3e}"
+
+    @pytest.mark.parametrize("f, text", [
+        (Fraction(1, 10**400), "1.000e-400"),
+        (Fraction(99995, 10**405), "1.000e-400"),
+        (Fraction(99985, 10**405), "9.998e-401"),
+        (Fraction(12345678, 10**1007), "1.235e-1000"),
+    ])
+    def test_sci_text_rounds_an_underflowing_value_exactly(self, f, text):
+        assert _sci_text(f) == text
+
     def test_malformed_json_mentions_line(self, capsys, tmp_path):
         circuit = tmp_path / "c.json"
         layout = tmp_path / "l.json"
@@ -279,3 +318,99 @@ def test_negative_seed_is_usage_error(capsys, monkeypatch, command, source):
     assert code == 2
     assert out == ""
     assert err == f"error: {source} must be non-negative, got -1\n"
+
+
+_ARITIES = {"h": 1, "x": 1, "z": 1, "cx": 2, "cz": 2, "ccx": 3, "ccz": 3, "mcx": None, "mcz": None}
+_HUGE = "1" + "0" * 5000
+_DEFECTS = [
+    None, "variadic", "three-groups", "extra-key", "missing-key", "gate-key", "operand", "kind",
+    "qubits", "huge-int", "uncovered", "repeated", "empty-group", "top-level", "deep", "truncated",
+]
+
+
+@st.composite
+def compress_documents(draw, defect: str | None):
+    """A circuit and layout document pair as text. With no defect, or with
+    an unpriceable gate (mcx/mcz, a gate over three groups), the pair
+    parses; every other defect breaks one document."""
+    n = draw(st.integers(3 if defect == "three-groups" else 1, 6))
+    order = draw(st.permutations(range(n)))
+    # two groups at most, so that only the defects below make a pair unpriceable
+    if defect == "three-groups":
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=2, max_size=2)))
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=1))) if n > 1 else []
+    groups = [list(order[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+    gates = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from([k for k, arity in _ARITIES.items() if arity]))
+        if _ARITIES[kind] <= n:
+            gates.append({"kind": kind, "operands": draw(st.permutations(range(n)))[: _ARITIES[kind]]})
+    if defect == "variadic":
+        gates.insert(draw(st.integers(0, len(gates))), {"kind": draw(st.sampled_from(["mcx", "mcz"])),
+                                                        "operands": list(order[: max(2, n)])[:n]})
+    elif defect == "three-groups":
+        gates.append({"kind": "ccx", "operands": [g[0] for g in groups]})
+    circuit, layout = {"qubits": n, "gates": gates}, {"groups": groups}
+    if defect == "extra-key":
+        circuit["note"] = 1
+    elif defect == "missing-key":
+        del layout["groups"]
+    elif defect == "gate-key":
+        gates.append({"kind": "h", "operands": [0], "target": 0})
+    elif defect == "operand":
+        gates.append({"kind": "h", "operands": [draw(st.sampled_from([0.5, "0", True, None, [0], -1, n]))]})
+    elif defect == "kind":
+        gates.append({"kind": draw(st.sampled_from(["swap", "", "CX", 3, None])), "operands": [0]})
+    elif defect == "qubits":
+        circuit["qubits"] = draw(st.sampled_from([0, -2, "3", 2.0, None, n + 1]))
+    elif defect == "uncovered":
+        groups[-1] = groups[-1][1:]
+    elif defect == "repeated":
+        groups[0] = groups[0] + groups[0][:1]
+    elif defect == "empty-group":
+        groups.insert(draw(st.integers(0, len(groups))), [])
+    texts = [json.dumps(circuit), json.dumps(layout)]
+    side = draw(st.integers(0, 1))
+    if defect == "huge-int":
+        # json.dumps cannot write an integer this long, so it goes in as text
+        texts[side] = re.sub(r"\d+", _HUGE, texts[side], count=1)
+    elif defect == "top-level":
+        texts[side] = draw(st.sampled_from(["[]", "3", '"x"', "null", "{}", ""]))
+    elif defect == "deep":
+        depth = draw(st.integers(1000, 20000))
+        texts[side] = "[" * depth + "]" * depth
+    elif defect == "truncated":
+        texts[side] = texts[side][: draw(st.integers(0, len(texts[side]) - 1))]
+    return tuple(texts)
+
+
+def _compress_once(circuit: Path, layout: Path, fmt: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["compress", str(circuit), str(layout), "--format", fmt])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("defect", _DEFECTS, ids=lambda d: d or "valid")
+def test_compress_exits_0_or_2_and_json_is_byte_identical(defect):
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(compress_documents(defect))
+    def check(documents):
+        with tempfile.TemporaryDirectory() as tmp:
+            circuit, layout = Path(tmp) / "c.json", Path(tmp) / "l.json"
+            circuit.write_text(documents[0])
+            layout.write_text(documents[1])
+            first, second = (_compress_once(circuit, layout, "json") for _ in range(2))
+            text = _compress_once(circuit, layout, "text")
+        assert first == second
+        for code, out, err in (first, text):
+            assert code == (0 if defect is None else 2)
+            if code == 0:
+                assert err == "" and out
+            else:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        if defect is None:
+            assert json.loads(first[1])["command"] == "compress"
+
+    check()

@@ -22,7 +22,7 @@ from qompress.mcz import (
     trigger_pattern,
     two_level_cz,
 )
-from qompress.qstate import PureState, apply, tensor
+from qompress.qstate import UNITARITY_ATOL, PureState, apply, tensor
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -173,6 +173,21 @@ class TestAncillaFlagUnitary:
     def test_rejects_unnormalized_pattern(self):
         with pytest.raises(ValueError):
             ancilla_flag_unitary(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("k", [1, 2, 4, 7])
+    def test_unitary_on_random_batched_patterns(self, k):
+        # the closed form skips the runtime unitarity check, so it must hold
+        # by construction, also where the pattern has no weight on level 0
+        rng = np.random.default_rng(157 + k)
+        patterns = rng.standard_normal((32, k)) + 1j * rng.standard_normal((32, k))
+        # a one-level pattern cannot vanish on level 0, so it takes a phase
+        patterns[::4, 0] = 1j if k == 1 else 0.0
+        patterns /= np.linalg.norm(patterns, axis=-1, keepdims=True)
+        u = ancilla_flag_unitary(patterns)
+        assert u.entries.shape == (32, k + 1, k + 1)
+        assert not u.entries.flags.writeable
+        gram = u.entries.conj().swapaxes(-2, -1) @ u.entries
+        assert np.max(np.abs(gram - np.eye(k + 1))) <= UNITARITY_ATOL
 
 
 class TestBellMeasurement:

@@ -15,6 +15,7 @@ import pytest
 from conftest import haar_unitary, random_amplitudes
 from qompress.mcz import TriggerSet
 from qompress.optics import (
+    _SYMMETRY_ATOL,
     ModeUnitary,
     PhotonConfig,
     TwoPhotonState,
@@ -197,3 +198,38 @@ class TestPostselection:
         expected = np.kron(a, b)
         overlap = abs(np.vdot(recovered.amps, expected))
         assert abs(overlap - 1.0) < 1e-12
+
+
+def random_batch(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestRouterPermutation:
+    """route_with_ancilla permutes the photons' mode vectors by the swap
+    image; the public mesh and congruence evolution are its reference."""
+
+    @pytest.mark.parametrize("batch", [(), (7,)], ids=["single", "batch"])
+    def test_equals_the_mesh_evolution_exactly(self, batch):
+        rng = np.random.default_rng(149)
+        for d, triggers in [(2, (1,)), (4, (1, 3)), (5, (0, 2, 4)), (8, (3, 7))]:
+            ts = TriggerSet(triggers, d)
+            k = len(triggers)
+            qudit = PureState((d,), random_batch(batch + (d,), rng))
+            ancilla = PureState((k + 1,), random_batch(batch + (k + 1,), rng))
+            routed = route_with_ancilla(qudit, ancilla, ts)
+            mesh = pair_swap_mesh(d, k + 1, [(c, i) for i, c in enumerate(triggers)])
+            want = evolve_two_photon(mesh, TwoPhotonState.product(qudit.amps, ancilla.amps))
+            assert routed.split == want.split == d
+            assert np.array_equal(routed.coeff, want.coeff), (d, triggers)
+
+    def test_routed_state_is_symmetric_and_frozen(self):
+        # the router skips the runtime symmetry check, so its output must
+        # pass that check by construction
+        rng = np.random.default_rng(151)
+        qudit = PureState((6,), random_batch((9, 6), rng))
+        ancilla = PureState((4,), random_batch((9, 4), rng))
+        routed = route_with_ancilla(qudit, ancilla, TriggerSet((0, 2, 5), 6))
+        assert np.allclose(routed.coeff, routed.coeff.swapaxes(-2, -1), atol=_SYMMETRY_ATOL)
+        assert not routed.coeff.flags.writeable
+        register, _ = postselect_coincidence(TwoPhotonState(routed.coeff[0], routed.split))
+        assert not register.amps.flags.writeable

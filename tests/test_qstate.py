@@ -9,6 +9,7 @@ from conftest import haar_unitary, random_amplitudes
 from qompress.qstate import (
     PureState,
     Unitary,
+    _hadamard_axis,
     apply,
     fidelity_up_to_phase,
     hadamard,
@@ -232,3 +233,60 @@ def test_random_state_normalized():
 def test_hadamard_involutory():
     h = hadamard().entries
     np.testing.assert_allclose(h @ h, np.eye(2), atol=1e-12)
+
+
+class TestButterflyHadamard:
+    """The private butterfly is the qubit Hadamard on one axis, as a sum and
+    a difference; the public apply(hadamard().on(i), ...) is its reference."""
+
+    @pytest.mark.parametrize("batch", [(), (5,), (3, 2)], ids=["single", "batch", "two-axes"])
+    def test_matches_apply_on_every_qubit_axis(self, batch):
+        rng = np.random.default_rng(131)
+        dims = (2, 3, 2, 2)
+        amps = rng.standard_normal(batch + dims) + 1j * rng.standard_normal(batch + dims)
+        state = PureState(dims, amps)
+        for sub in (0, 2, 3):
+            want = apply(hadamard().on(sub), state).amps
+            got = _hadamard_axis(state.amps, len(batch) + sub)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15, err_msg=str(sub))
+            # counted from the end it is the same axis
+            np.testing.assert_array_equal(_hadamard_axis(state.amps, sub - len(dims)), got)
+
+    def test_strided_input(self):
+        rng = np.random.default_rng(137)
+        amps = rng.standard_normal((4, 2, 2, 3)) + 1j * rng.standard_normal((4, 2, 2, 3))
+        view = amps.transpose(0, 3, 2, 1)
+        want = apply(hadamard().on(2), PureState((3, 2, 2), view)).amps
+        np.testing.assert_allclose(_hadamard_axis(view, 3), want, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(view, amps.transpose(0, 3, 2, 1))
+
+
+class TestOwnership:
+    """A caller's array is copied in; every array a stage hands out is
+    frozen, and a stage never writes into its input."""
+
+    def test_caller_array_is_not_aliased(self):
+        amps = np.array([0.6, 0.8j])
+        s = PureState((2,), amps)
+        assert not np.shares_memory(s.amps, amps)
+        amps[0] = 5.0
+        assert s.amps[0] == 0.6
+        assert amps.flags.writeable
+
+    def test_stage_outputs_are_read_only(self):
+        rng = np.random.default_rng(139)
+        batch = PureState((2, 3), rng.standard_normal((4, 2, 3)) + 0j)
+        before = batch.amps.copy()
+        outputs = [
+            tensor(batch, PureState((2,), np.array([1.0, 0.0]))),
+            tensor(random_state((2,), rng), random_state((3,), rng)),
+            apply(hadamard().on(0), batch),
+            permute_subsystems(batch, (1, 0)),
+            truncate_subsystem(PureState((2, 3), np.eye(2, 3)), 1, 2),
+        ]
+        for out in outputs:
+            assert not out.amps.flags.writeable
+            with pytest.raises(ValueError):
+                out.amps[(0,) * out.amps.ndim] = 1.0
+        np.testing.assert_array_equal(batch.amps, before)

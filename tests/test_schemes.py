@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -246,6 +247,66 @@ class TestBatchedCores:
             run_state_dependent(batch, batch, (1,), (1,))
         with pytest.raises(ValueError):
             run_state_independent_joint(PureState((2, 2), np.eye(4).reshape(4, 2, 2)), (1,), (1,))
+
+
+class TestSliceMemory:
+    """A scheme core runs its words in slices that fit within the batch's
+    (words, d1, d2) register, counting every array a slice has live, the
+    result it yields included. numpy's iteration buffers (np.getbufsize()
+    elements for each of up to three operands) do not grow with the words
+    and are allowed on top."""
+
+    REGISTER = 8 << 20
+
+    @staticmethod
+    def peak_above_input(run) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            runs = run()
+            # each result is dropped before the next slice runs
+            while next(runs, None) is not None:
+                pass
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    @MODELS
+    @pytest.mark.parametrize("d1, d2, c1, c2", [
+        (16, 16, (1, 4, 9, 12), (0, 5, 10, 15)),
+        (16, 2, tuple(range(15)), (1,)),
+        (4, 4, (1, 2), (3,)),
+    ], ids=["16x16", "router-bound", "4x4"])
+    def test_both_cores_fit_the_register(self, model, d1, d2, c1, c2):
+        rng = np.random.default_rng(163)
+        words = self.REGISTER // (16 * d1 * d2)
+
+        def unit(shape):
+            x = random_batch(shape, rng)
+            return x / np.linalg.norm(x.reshape(words, -1), axis=1).reshape((words,) + (1,) * (len(shape) - 1))
+
+        joint = PureState((d1, d2), unit((words, d1, d2)))
+        psi1, psi2 = PureState((d1,), unit((words, d1))), PureState((d2,), unit((words, d2)))
+        allowance = 3 * np.getbufsize() * 16
+        for name, run in [
+            ("state-independent", lambda: _run_state_independent(joint, c1, c2, "fast", model)),
+            ("state-dependent", lambda: _run_state_dependent(psi1, psi2, c1, c2, model)),
+        ]:
+            assert self.peak_above_input(run) <= self.REGISTER + allowance, name
+
+    def test_outputs_are_read_only(self):
+        rng = np.random.default_rng(167)
+        words = np.array([random_state((3, 4), rng).amps for _ in range(6)])
+        joint = PureState((3, 4), words)
+        psi1 = PureState((3,), np.array([random_state((3,), rng).amps for _ in range(6)]))
+        psi2 = PureState((4,), np.array([random_state((4,), rng).amps for _ in range(6)]))
+        for model in (BsmModel.ideal(), BsmModel.linear_optics()):
+            for res in (*_run_state_independent(joint, (1,), (0, 3), "fast", model),
+                        *_run_state_dependent(psi1, psi2, (1,), (0, 3), model)):
+                states = [res.resource_state, *(b.output for b in res.branches),
+                          *(o.state for o in res.bsm_outcomes if o.state is not None)]
+                assert all(not s.amps.flags.writeable for s in states)
+        np.testing.assert_array_equal(joint.amps, words)
 
 
 def random_batch(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
