@@ -3,16 +3,18 @@
 Both sides are plain source checkouts (for example `git archive` of two
 commits unpacked into two directories). The script runs
 
-- `perfbench/run.py` in alternating parent/change pairs, one `--pair`
-  spec `WORKLOAD:SEED:PAIRS` each; odd pairs run the change first;
-- the Tier-1 suite once per side (`--tier1`), with its wall time and
-  `--durations=10` block;
+- `perfbench/run.py` at its default run length in alternating
+  parent/change pairs, one `--pair` spec `WORKLOAD:SEED:PAIRS` each; odd
+  pairs run the change first;
+- the Tier-1 suite once per side, with its wall time and `--durations=10`
+  block;
 - the 12-qubit `ccx(i, i+1, i+2)` chain on two and three equal groups
-  with the `standard` backend (`--chains`), wall time and peak RSS.
+  with the `standard` backend, wall time and peak RSS.
+
+The output file is written afresh.
 
     python3 scripts/bench_record.py --parent ../parent --change . \\
-        --pair truth-table:31:10 --pair pipeline:31:10 --tier1 --chains \\
-        --out BENCH_10.json
+        --pair truth-table:31:10 --pair pipeline:31:10 --out BENCH_10.json
 """
 
 from __future__ import annotations
@@ -43,13 +45,13 @@ def run(cmd: list[str], cwd: Path, **kw) -> subprocess.CompletedProcess:
     return subprocess.run(cmd, cwd=cwd, capture_output=True, text=True, **kw)
 
 
-def bench_pairs(sides: dict[str, Path], spec: str, seconds: float, record: dict):
+def bench_pairs(sides: dict[str, Path], spec: str, record: dict):
     workload, seed, pairs = spec.split(":")
     for pair in range(int(pairs)):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
             out = run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", seed,
-                       "--seconds", str(seconds), "--trace", "0"], sides[side])
+                       "--trace", "0"], sides[side])
             lines = [json.loads(line) for line in out.stdout.splitlines() if line.startswith("{")]
             record.setdefault("environment", lines[0]["environment"] if lines else None)
             record["runs"].append({"workload": workload, "seed": int(seed), "pair": pair,
@@ -81,20 +83,15 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--pair", action="append", default=[], help="WORKLOAD:SEED:PAIRS")
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--tier1", action="store_true")
-    parser.add_argument("--chains", action="store_true")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    record = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
+    record = {"runs": []}
     for spec in args.pair:
-        bench_pairs(sides, spec, args.seconds, record)
-    if args.tier1:
-        record["tier1"] = {side: tier1(path) for side, path in sides.items()}
-    if args.chains:
-        record["ccx_chain_12"] = {side: chains(path) for side, path in sides.items()}
+        bench_pairs(sides, spec, record)
+    record["tier1"] = {side: tier1(path) for side, path in sides.items()}
+    record["ccx_chain_12"] = {side: chains(path) for side, path in sides.items()}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -100,6 +100,16 @@ class TwoPhotonState:
         object.__setattr__(self, "split", int(self.split))
 
     @classmethod
+    def _trusted(cls, coeff: np.ndarray, split: int) -> "TwoPhotonState":
+        """A complex coefficient matrix the package built to be symmetric
+        (the routed pair product), wrapped without the check or a copy."""
+        coeff.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "coeff", coeff)
+        object.__setattr__(state, "split", split)
+        return state
+
+    @classmethod
     def product(cls, first: np.ndarray, second: np.ndarray) -> "TwoPhotonState":
         """One photon carrying `first` on the first port group, one carrying
         `second` on the other; leading axes are batch axes."""
@@ -254,10 +264,4 @@ def route_with_ancilla(qudit: PureState, ancilla: PureState, triggers) -> TwoPho
         qudit.amps.reshape(qudit.batch + (d,)), ancilla.amps.reshape(ancilla.batch + (-1,))
     )
     v, w = v[..., image], w[..., image]
-    # _pair_coeff is symmetric by construction, so the check is skipped
-    coeff = _pair_coeff(v, w)
-    coeff.setflags(write=False)
-    state = object.__new__(TwoPhotonState)
-    object.__setattr__(state, "coeff", coeff)
-    object.__setattr__(state, "split", d)
-    return state
+    return TwoPhotonState._trusted(_pair_coeff(v, w), d)

@@ -379,13 +379,12 @@ def _ladder_fuse(
     model: BsmModel,
     expected: Fraction,
 ) -> SchemeResult:
-    # each flag joins as a new last axis in state 0, where its first
-    # Hadamard leaves h·amplitude on both levels; the sign multiply and the
-    # second Hadamard follow on that axis
-    amps = joint.amps
-    for signs in (ladders[0][..., 0], ladders[1]):
-        amps = (amps * _H)[..., None] * signs
-        amps = _hadamard_axis(amps, -1)
+    # both flag axes start at size 1, in state 0, where a flag's first
+    # Hadamard leaves h·amplitude on both levels; its sign multiply
+    # broadcasts the axis to both levels and its second Hadamard follows
+    amps = joint.amps[..., None, None]
+    for axis, signs in zip((-2, -1), ladders):
+        amps = _hadamard_axis(amps * _H * signs, axis)
     reg = PureState._fresh(joint.dims + (2, 2), amps)
 
     # the ladder's sign multiplies keep the whole mass
