@@ -3,7 +3,7 @@
 Three subcommands: `verify` checks one gate configuration against its
 logical matrix, `compress` prices a grouped circuit, and `reproduce`
 runs the whole battery of numeric claims. Exit codes: 0 success,
-1 check failure, 2 usage or parse error.
+1 check failure, 2 usage or parse error or a register too large for memory.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .compress import (
     simulate_compressed,
     trigger_sets,
 )
-from .mcz import BsmModel, TriggerSet, multi_level_cz
+from .mcz import BsmModel, TriggerSet, _signs, multi_level_cz
 from .optics import ModeUnitary, TwoPhotonState, evolve_two_photon, postselect_coincidence, route_with_ancilla
 from .mcz import prepare_ancillas
 from .qstate import PureState, apply, fidelity_up_to_phase, random_state, tensor
@@ -152,7 +152,7 @@ def cmd_verify(args) -> int:
     except ValueError as e:
         raise UsageError(str(e)) from None
     model = _model_from_flag(args.model)
-    gate = multi_level_cz(args.d1, args.d2, t1, t2)
+    signs = _signs(t1, t2)
 
     rng = np.random.default_rng(seed)
     min_fidelity = 1.0
@@ -160,11 +160,12 @@ def cmd_verify(args) -> int:
     result = None
     for _ in range(trials):
         psi1, psi2 = _random_product_input(args.d1, args.d2, rng)
+        joint = tensor(psi1, psi2)
         if args.scheme == "state-dependent":
             result = run_state_dependent(psi1, psi2, t1, t2, model)
         else:
-            result = run_state_independent_joint(tensor(psi1, psi2), t1, t2, model=model)
-        expected = apply(gate, tensor(psi1, psi2))
+            result = run_state_independent_joint(joint, t1, t2, model=model)
+        expected = PureState._fresh(joint.dims, joint.amps * signs)
         for branch in result.branches:
             min_fidelity = min(min_fidelity, fidelity_up_to_phase(branch.output, expected))
         probs = np.array([o.probability for o in result.bsm_outcomes])
@@ -498,8 +499,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compress":
             return cmd_compress(args)
         return cmd_reproduce(args)
-    except (UsageError, CircuitFormatError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (UsageError, CircuitFormatError, OSError, MemoryError) as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

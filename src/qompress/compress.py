@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from importlib import resources
 from operator import attrgetter
 
 import numpy as np
 
-from .mcz import BsmModel, TriggerSet, _signs
+from .mcz import BsmModel, TriggerSet
 from .qstate import PureState, _hadamard_axis
 from .schemes import _run_state_dependent, _run_state_independent, success_probability
 
@@ -104,6 +104,9 @@ class QuditLayout:
         if sorted(flat) != list(range(len(flat))):
             raise ValueError("groups must cover qubits 0..n-1 exactly")
         object.__setattr__(self, "groups", groups)
+        # each qubit's (group, bit), bit 0 the least significant of its group
+        where = {q: (i, len(g) - 1 - pos) for i, g in enumerate(groups) for pos, q in enumerate(g)}
+        object.__setattr__(self, "_where", where)
 
     @property
     def qubit_count(self) -> int:
@@ -114,10 +117,9 @@ class QuditLayout:
         return tuple(2 ** len(g) for g in self.groups)
 
     def group_of(self, qubit: int) -> int:
-        for i, g in enumerate(self.groups):
-            if qubit in g:
-                return i
-        raise ValueError(f"qubit {qubit} not in any group")
+        if qubit not in self._where:
+            raise ValueError(f"qubit {qubit} not in any group")
+        return self._where[qubit][0]
 
 
 def _load_json(text: str):
@@ -213,31 +215,27 @@ class TriggerDerivation:
     groups: tuple[int, int]
 
 
-def _group_triggers(gate: Gate, layout: QuditLayout, g: int) -> tuple[TriggerSet, int]:
-    group = layout.groups[g]
-    w = len(group)
-    positions = [group.index(q) for q in gate.operands if q in group]
-    levels = tuple(
-        m for m in range(2 ** w)
-        if all((m >> (w - 1 - pos)) & 1 for pos in positions)
-    )
-    return TriggerSet(levels, 2 ** w), w - len(positions)
-
-
 def trigger_sets(gate: Gate, layout: QuditLayout) -> TriggerDerivation:
     """Lift a two-group gate to trigger sets on the group registers.
 
+    A register's trigger levels are those with every operand bit set; its
+    other bits are free, so it removes as many controls as it has free bits.
     x-kinds are read through their Hadamard sandwich, so the diagonal
     core involves the same qubits as the symmetric sign gate."""
-    gs = sorted({layout.group_of(q) for q in gate.operands})
-    if len(gs) == 1:
+    masks: dict[int, int] = {}
+    for q in gate.operands:
+        g = layout.group_of(q)
+        masks[g] = masks.get(g, 0) | 1 << layout._where[q][1]
+    if len(masks) == 1:
         raise ValueError("gate stays inside one group")
-    if len(gs) > 2:
+    if len(masks) > 2:
         raise ValueError("gate spans more than two groups")
-    g1, g2 = gs
-    first, r1 = _group_triggers(gate, layout, g1)
-    second, r2 = _group_triggers(gate, layout, g2)
-    return TriggerDerivation(first, second, (r1, r2), (g1, g2))
+    (g1, m1), (g2, m2) = sorted(masks.items())
+    d1, d2 = layout.dims[g1], layout.dims[g2]
+    first = TriggerSet(tuple(m for m in range(d1) if m & m1 == m1), d1)
+    second = TriggerSet(tuple(m for m in range(d2) if m & m2 == m2), d2)
+    removed = tuple(len(layout.groups[g]) - bin(m).count("1") for g, m in ((g1, m1), (g2, m2)))
+    return TriggerDerivation(first, second, removed, (g1, g2))
 
 
 def _crossings(
@@ -286,9 +284,10 @@ def cost_report(circuit: CircuitIR, layout: QuditLayout) -> CostReport:
         unc_count += _CX_EQUIV[gate.kind]
 
     crossings = _crossings(circuit, layout, tags)
-    derivs = [d for _, d in crossings]
+    # a register that removes r controls has 2^r trigger levels
+    removed = [d.removed for _, d in crossings]
 
-    std_count = sum(len(d.first) * len(d.second) for d in derivs)
+    std_count = sum(2 ** (r1 + r2) for r1, r2 in removed)
 
     sd_count = len(crossings)
     reason = None
@@ -298,11 +297,9 @@ def cost_report(circuit: CircuitIR, layout: QuditLayout) -> CostReport:
             "marginals are unknown and no router ancilla can be prepared"
         )
 
-    si_counts = [len(d.first) + len(d.second) for d in derivs]
-    si_prob = reduce(
-        lambda acc, d: acc * success_probability("state-independent", len(d.first), len(d.second)),
-        derivs,
-        Fraction(1),
+    si_counts = [2**r1 + 2**r2 for r1, r2 in removed]
+    si_prob = math.prod(
+        (success_probability("state-independent", 2**r1, 2**r2) for r1, r2 in removed), start=Fraction(1)
     )
 
     rows = (
@@ -442,9 +439,10 @@ def simulate_compressed(
             if gate.is_x_kind:
                 reg = _hadamard(reg, n, axis[gate.target])
             if tag.local or backend in ("uncompressed", "standard"):
-                signs = _signs(*(_group_triggers(gate, layout, g)[0] for g in tag.groups))
-                others = [g for g in range(len(dims)) if g not in tag.groups]
-                reg = reg * np.expand_dims(signs, others)
+                # negate, on a new register, the block where every operand bit is 1
+                reg = reg.copy()
+                block = tuple(1 if q in gate.operands else slice(None) for q in order)
+                reg.reshape((-1,) + (2,) * n)[(slice(None),) + block] *= -1
             else:
                 place = _scheme_crossing(reg, crossings[i], backend)
                 del reg  # the scheme holds its own copy, so only one register is alive

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qompress import cli
 from qompress.cli import _sci_text, main, run_claims
 from qompress.compress import cost_report, parse_circuit, parse_layout
 
@@ -115,6 +117,37 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--frobnicate"])
         assert exc.value.code == 2
+
+    def test_reference_gate_is_a_sign_multiply(self, capsys):
+        # a dense reference matrix on 1024x2 levels alone would be 64 MiB
+        tracemalloc.start()
+        try:
+            code = main(["verify", "--scheme", "state-independent", "--d1", "1024", "--trials", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert "PASS" in capsys.readouterr().out
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("stage, argv", [
+        ("run_state_independent_joint", ["verify", "--scheme", "state-independent"]),
+        ("cost_report", ["compress"]),
+    ], ids=["verify", "compress"])
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 14.6 TiB for an array", "Unable to allocate 14.6 TiB for an array"),
+        ("", "out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_is_usage_error(self, capsys, monkeypatch, stage, argv, message, shown):
+        # stands in for a register too large to allocate, without allocating it
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, stage, exhausted)
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {shown}\n"
 
 
 class TestCompress:

@@ -170,6 +170,54 @@ class TestBundledAdder:
         assert cost_report(benchmark_circuit(), qfa_layout()).row("state-dependent").legal
 
 
+def listed_triggers(gate: Gate, group: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    # every level of the group scanned for all operand bits set, and the
+    # group's qubits that are not operands
+    w = len(group)
+    positions = [group.index(q) for q in gate.operands if q in group]
+    levels = tuple(
+        m for m in range(2**w) if all((m >> (w - 1 - pos)) & 1 for pos in positions)
+    )
+    return levels, w - len(positions)
+
+
+@st.composite
+def two_group_crossings(draw):
+    """A sign gate over both groups of a two-group layout of 2-6 qubits."""
+    n = draw(st.integers(2, 6))
+    order = draw(st.permutations(range(n)))
+    cut = draw(st.integers(1, n - 1))
+    layout = QuditLayout((tuple(order[:cut]), tuple(order[cut:])))
+    operands = [
+        q for g in layout.groups
+        for q in draw(st.lists(st.sampled_from(g), min_size=1, unique=True))
+    ]
+    return Gate("mcz", tuple(draw(st.permutations(operands)))), layout
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(two_group_crossings())
+def test_trigger_sets_match_every_level_scanned(case):
+    gate, layout = case
+    derivation = trigger_sets(gate, layout)
+    (first, r1), (second, r2) = (listed_triggers(gate, g) for g in layout.groups)
+    assert derivation.first.indices == first
+    assert derivation.second.indices == second
+    assert (derivation.first.dim, derivation.second.dim) == layout.dims
+    assert derivation.removed == (r1, r2)
+    assert derivation.groups == (0, 1)
+    # the rows priced from the removed counts are the rows priced from the
+    # lists, wherever the gate has a fixed two-qubit decomposition
+    kind = {2: "cz", 3: "ccz"}.get(len(gate.operands))
+    if kind is not None:
+        report = cost_report(CircuitIR(layout.qubit_count, (Gate(kind, gate.operands),)), layout)
+        assert report.row("standard").gate_count == len(first) * len(second)
+        assert report.row("state-independent").gate_count == len(first) + len(second)
+        assert report.row("state-independent").success_probability == (
+            schemes.success_probability("state-independent", len(first), len(second))
+        )
+
+
 def three_crossing_circuit() -> tuple[CircuitIR, QuditLayout]:
     # crossings at gates 1, 4 and 5, one over each pair of the three groups
     circuit = CircuitIR(6, (
@@ -370,6 +418,9 @@ class TestSimulation:
             (qfa_layout(), Gate("ccz", (1, 2, 3))),
             # the crossing skips the middle group, which passes through
             (QuditLayout(((0, 1), (2, 3), (4, 5))), Gate("ccz", (1, 4, 5))),
+            # groups listed out of index order: the first-listed qubit is the
+            # most significant bit, so qubits 0 and 1 are each group's low bit
+            (QuditLayout(((2, 0), (3, 1))), Gate("cz", (0, 1))),
         ]:
             seen = {}
             circuit = CircuitIR(layout.qubit_count, (Gate("h", (0,)), gate, Gate("h", (0,))))
