@@ -107,14 +107,12 @@ class QuditLayout:
         # each qubit's (group, bit), bit 0 the least significant of its group
         where = {q: (i, len(g) - 1 - pos) for i, g in enumerate(groups) for pos, q in enumerate(g)}
         object.__setattr__(self, "_where", where)
+        # each group register's dimension, read on every crossing
+        object.__setattr__(self, "dims", tuple(2 ** len(g) for g in groups))
 
     @property
     def qubit_count(self) -> int:
         return sum(len(g) for g in self.groups)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(2 ** len(g) for g in self.groups)
 
     def group_of(self, qubit: int) -> int:
         if qubit not in self._where:

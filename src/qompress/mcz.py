@@ -159,12 +159,9 @@ def ancilla_flag_unitary(pattern: np.ndarray) -> Unitary:
 class BsmModel:
     """Which Bell outcomes the analyzer can herald."""
 
-    kind: str
     heralds: frozenset[str]
 
     def __post_init__(self):
-        if self.kind not in ("ideal", "linear-optics"):
-            raise ValueError(f"unknown analyzer kind {self.kind!r}")
         bad = set(self.heralds) - set(BELL_LABELS)
         if bad:
             raise ValueError(f"unknown herald labels {sorted(bad)}")
@@ -172,12 +169,12 @@ class BsmModel:
 
     @classmethod
     def ideal(cls) -> "BsmModel":
-        return cls("ideal", _ALL_HERALDS)
+        return cls(_ALL_HERALDS)
 
     @classmethod
     def linear_optics(cls, heralds: frozenset[str] | None = None) -> "BsmModel":
         # a passive analyzer only resolves the antisymmetric pair
-        return cls("linear-optics", frozenset({"psi+", "psi-"}) if heralds is None else heralds)
+        return cls(frozenset({"psi+", "psi-"}) if heralds is None else heralds)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from .mcz import (
     _ancilla,
     _bell_outcomes,
     _signs,
-    ancilla_flag_unitary,
     multi_level_cz,
     trigger_pattern,
 )
@@ -42,7 +41,6 @@ from .qstate import (
     Unitary,
     _H,
     _hadamard_axis,
-    apply,
     permute_subsystems,
     tensor,
     truncate_subsystem,
@@ -247,13 +245,14 @@ def _run_state_dependent(
     d1, d2, k1, k2 = t1.dim, t2.dim, len(t1), len(t2)
     # a router's n-mode two-photon matrix beside the product it is summed
     # from and its photons' mode vectors, 2n(n+2), the second one beside
-    # the first register's flagged (d1, k1+1) result; then the fusion tail
-    # beside both flagged registers
+    # the first register's flag, a view that keeps its (d1, k1+2) base
+    # alive; then the fusion tail beside both flags. A flag's own stage,
+    # at most d(3k+4), stays below its router's 2n(n+2).
     n1, n2 = d1 + k1 + 1, d2 + k2 + 1
     per_word = max(
         2 * n1 * (n1 + 2),
-        2 * n2 * (n2 + 2) + d1 * (k1 + 1),
-        _fuse_words(d1, d2, model) + d1 * (k1 + 1) + d2 * (k2 + 1),
+        2 * n2 * (n2 + 2) + d1 * (k1 + 2),
+        _fuse_words(d1, d2, model) + d1 * (k1 + 2) + d2 * (k2 + 2),
     )
 
     return _by_slice(
@@ -279,14 +278,19 @@ def _route_flag_fuse(
 
 
 def _route_flag(psi: PureState, triggers: TriggerSet) -> tuple[PureState, np.ndarray]:
-    """One register through its ancilla, router, coincidence and flag
-    unitary, with the coincidence mass it kept per word. The result is a
-    view of the (d, k+1) flagged register, truncated to two flag levels."""
+    """One register through its ancilla, router, coincidence and flag, with
+    the coincidence mass it kept per word. The flag is the two surviving rows
+    of `ancilla_flag_unitary`, a view of the (d, k+2) array [pass rail, trigger
+    rails' overlap with the pattern, their residual off it]: the truncation
+    checks the residual, which is what the unitary's other rows would carry."""
     pattern, _ = trigger_pattern(psi, triggers)
     reg, kept = _coincidence(route_with_ancilla(psi, _ancilla(pattern), triggers))
-    reg = apply(ancilla_flag_unitary(pattern).on(1), reg)
-    # the flagged (register, ancilla) pair is exactly two-level on the ancilla
-    return truncate_subsystem(reg, 1, 2), kept
+    rails = reg.amps[..., :-1]
+    overlap = rails @ pattern.conj()[..., :, None]
+    # the residual itself: a difference of masses leaves ~1e-8 of amplitude
+    residual = rails - overlap * pattern[..., None, :]
+    flag = np.concatenate([reg.amps[..., -1:], overlap, residual], axis=-1)
+    return truncate_subsystem(PureState._fresh(flag.shape[-2:], flag), 1, 2), kept
 
 
 _VERIFIED: dict[tuple[int, int], Unitary] = {}

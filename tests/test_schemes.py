@@ -15,10 +15,21 @@ from qompress.mcz import (
     BsmModel,
     BsmOutcome,
     TriggerSet,
+    _ancilla,
+    ancilla_flag_unitary,
     correction_unitary,
     multi_level_cz,
+    trigger_pattern,
 )
-from qompress.qstate import PureState, apply, fidelity_up_to_phase, random_state, tensor
+from qompress.optics import _coincidence, route_with_ancilla
+from qompress.qstate import (
+    PureState,
+    apply,
+    fidelity_up_to_phase,
+    random_state,
+    tensor,
+    truncate_subsystem,
+)
 from qompress.schemes import (
     _feedforward,
     _run_state_dependent,
@@ -114,6 +125,55 @@ class TestStateDependent:
                 want = expected_output(tensor(psi1, psi2), (2,), (1,))
                 for branch in res.branches:
                     np.testing.assert_allclose(branch.output.amps, want.amps, atol=1e-12)
+
+
+class TestRouterFlag:
+    """The router flag is the two rows of the flag unitary that survive:
+    on batched random inputs it must equal the unitary applied and
+    truncated, and a pattern off the input's must leak and be refused."""
+
+    @staticmethod
+    def routed(psi: PureState, triggers: TriggerSet, pattern: np.ndarray):
+        return _coincidence(route_with_ancilla(psi, _ancilla(pattern), triggers))
+
+    @pytest.mark.parametrize("d, k", [(2, 1), (4, 3), (8, 4), (16, 7)])
+    def test_matches_the_flag_unitary(self, d, k):
+        rng = np.random.default_rng(173 + d)
+        words = random_batch((12, d), rng)
+        psi = PureState((d,), words / np.linalg.norm(words, axis=1, keepdims=True))
+        triggers = TriggerSet(tuple(rng.choice(d, size=k, replace=False)), d)
+        pattern, _ = trigger_pattern(psi, triggers)
+        reg, kept = self.routed(psi, triggers, pattern)
+        want = truncate_subsystem(apply(ancilla_flag_unitary(pattern).on(1), reg), 1, 2)
+        got, got_kept = schemes._route_flag(psi, triggers)
+        assert got.dims == want.dims == (d, 2)
+        np.testing.assert_allclose(got.amps, want.amps, rtol=0, atol=1e-12)
+        # the flag keeps the coincidence mass and all of the routed register's
+        np.testing.assert_array_equal(got_kept, kept)
+        np.testing.assert_allclose(got.norm, reg.norm, rtol=0, atol=1e-12)
+
+    def test_a_tilted_pattern_is_refused(self, monkeypatch):
+        rng = np.random.default_rng(179)
+        d, triggers = 8, TriggerSet((1, 3, 4, 6), 8)
+        words = random_batch((6, d), rng)
+        psi = PureState((d,), words / np.linalg.norm(words, axis=1, keepdims=True))
+        tilts = {j: random_batch((len(triggers),), rng) for j in (2, 4)}
+
+        def tilted(state, triggers, _real=trigger_pattern):
+            pattern, weight = _real(state, triggers)
+            for j, tilt in tilts.items():
+                pattern[j] = tilt / np.linalg.norm(tilt)
+            return pattern, weight
+
+        monkeypatch.setattr(schemes, "trigger_pattern", tilted)
+        # what the flag unitary's discarded rows carry for the lowest tilted word
+        pattern, _ = tilted(psi, triggers)
+        reg, _ = self.routed(psi, triggers, pattern)
+        leak = np.linalg.norm(apply(ancilla_flag_unitary(pattern).on(1), reg).amps[2, :, 2:])
+        assert leak > 1e-3
+        with pytest.raises(ValueError, match="truncation would discard amplitude mass") as exc:
+            schemes._route_flag(psi, triggers)
+        assert float(str(exc.value).rsplit(" ", 1)[1]) == pytest.approx(leak, rel=1e-3)
 
 
 class TestStateIndependent:
