@@ -9,7 +9,8 @@ commits unpacked into two directories). The script runs
 - the Tier-1 suite once per side, with its wall time and `--durations=10`
   block;
 - the 12-qubit `ccx(i, i+1, i+2)` chain on two and three equal groups
-  with the `standard` backend, wall time and peak RSS.
+  with the `standard` and `state-independent` backends, wall time and
+  peak RSS, one process each.
 
 The output file is written afresh.
 
@@ -31,12 +32,12 @@ from pathlib import Path
 CHAIN = """
 import json, resource, sys, time
 from qompress.compress import CircuitIR, Gate, QuditLayout, simulate_compressed
-n, k = 12, int(sys.argv[1])
+n, k, backend = 12, int(sys.argv[1]), sys.argv[2]
 circuit = CircuitIR(n, tuple(Gate("ccx", (i, i + 1, i + 2)) for i in range(n - 2)))
 layout = QuditLayout(tuple(tuple(range(g * n // k, (g + 1) * n // k)) for g in range(k)))
 t0 = time.perf_counter()
-simulate_compressed(circuit, layout, "standard")
-print(json.dumps({"groups": k, "backend": "standard", "wall_s": time.perf_counter() - t0,
+simulate_compressed(circuit, layout, backend)
+print(json.dumps({"groups": k, "backend": backend, "wall_s": time.perf_counter() - t0,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
@@ -73,9 +74,9 @@ def tier1(path: Path) -> dict:
 
 
 def chains(path: Path) -> list[dict]:
-    return [json.loads(run([sys.executable, "-c", CHAIN, str(k)], path,
+    return [json.loads(run([sys.executable, "-c", CHAIN, str(k), backend], path,
                            env={**os.environ, "PYTHONPATH": "src"}).stdout)
-            for k in (2, 3)]
+            for backend in ("standard", "state-independent") for k in (2, 3)]
 
 
 def main(argv=None) -> int:

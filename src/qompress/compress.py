@@ -388,10 +388,14 @@ def simulate_compressed(
 
     The words run together, one gate at a time, on one dense register of
     shape (words, d_1, ..., d_k), one axis per group in layout order, so
-    the groups may entangle. Every gate but `h` is a sign flip on the
-    levels where all its operands are set, inside a Hadamard on the target
-    for x-kinds. The scheme backends run their scheme once per crossing and
-    word chunk. A chunk holds as many amplitudes as all words' widest
+    the groups may entangle. A dense gate, meaning a local gate on any
+    backend and every gate on `uncompressed` and `standard`, is exact
+    index work on a new register: a z-kind negates the levels where all its
+    operands are set, and an x-kind, whose Hadamard sandwich H·S·H is the
+    multi-controlled flip, is a permutation of the levels, one gather. Only
+    a scheme crossing keeps the sandwich, since the scheme realizes the
+    diagonal core; the scheme backends run it once per crossing and word
+    chunk. A chunk holds as many amplitudes as all words' widest
     per-word state (the group registers side by side, or a crossing's
     d1·d2 product), so two groups with a crossing run in one chunk while
     more groups, whose register grows as 4^n, run in several.
@@ -424,6 +428,10 @@ def simulate_compressed(
     # words' widest per-word state
     step = max([sum(dims)] + [d.first.dim * d.second.dim for d in crossings.values()])
 
+    # each qubit's bit in a level's index into the (words, 2^n) view
+    bits = {q: 1 << (n - 1 - a) for q, a in axis.items()}
+    index = np.arange(2**n)
+
     levels, peaks = [], []
     for lo in range(0, len(words), step):
         chunk = codes[lo : lo + step]
@@ -431,22 +439,28 @@ def simulate_compressed(
         reg[np.arange(len(chunk)), chunk] = 1.0
         reg = reg.reshape((-1,) + dims)
         for i, (gate, tag) in enumerate(zip(circuit.gates, tags)):
+            dense = tag.local or backend in ("uncompressed", "standard")
             if gate.kind == "h":
                 reg = _hadamard(reg, n, axis[gate.operands[0]])
-                continue
-            if gate.is_x_kind:
-                reg = _hadamard(reg, n, axis[gate.target])
-            if tag.local or backend in ("uncompressed", "standard"):
+            elif dense and gate.is_x_kind:
+                # flip the target bit of every level whose control bits are all 1,
+                # gathering the levels into a new register
+                ctrl = sum(bits[q] for q in gate.operands[:-1])
+                perm = np.where(index & ctrl == ctrl, index ^ bits[gate.target], index)
+                reg = np.take(reg.reshape(len(chunk), -1), perm, axis=1).reshape(reg.shape)
+            elif dense:
                 # negate, on a new register, the block where every operand bit is 1
                 reg = reg.copy()
                 block = tuple(1 if q in gate.operands else slice(None) for q in order)
                 reg.reshape((-1,) + (2,) * n)[(slice(None),) + block] *= -1
             else:
+                if gate.is_x_kind:
+                    reg = _hadamard(reg, n, axis[gate.target])
                 place = _scheme_crossing(reg, crossings[i], backend)
                 del reg  # the scheme holds its own copy, so only one register is alive
                 reg = place()
-            if gate.is_x_kind:
-                reg = _hadamard(reg, n, axis[gate.target])
+                if gate.is_x_kind:
+                    reg = _hadamard(reg, n, axis[gate.target])
         flat = np.abs(reg.reshape(len(chunk), -1))
         levels.append(np.argmax(flat, axis=1))
         peaks.append(flat[np.arange(len(chunk)), levels[-1]])

@@ -50,6 +50,11 @@ SCHEMES = ("state-dependent", "state-independent")
 
 PROBABILITY_ATOL = 1e-10
 
+# a batch's slice budget in amplitudes is never below this (1 MiB), so a
+# small register runs in one slice instead of paying every stage's call
+# cost once per handful of words
+_SLICE_FLOOR = 1 << 16
+
 # herald label -> (flip signs on register 1, flip signs on register 2)
 _CORRECTIONS = {
     "phi+": (False, False),
@@ -128,25 +133,29 @@ def _by_slice(
 
     `per_word` is the scheme's working memory for one word, in amplitudes:
     every array a slice has live at once, the SchemeResult it yields
-    included. A slice holds as many words as fit it within the amplitudes
-    of the whole batch's (words, d1, d2) product register, the one the
-    dense backends build; an unbatched input is one slice. Every check
-    reports the lowest failing word of its slice.
+    included. A slice holds as many words as fit it within the larger of
+    the batch's (words, d1, d2) product register, the one the dense
+    backends build, and 2^16 amplitudes; an unbatched input is one slice.
+    Every check reports the lowest failing word of its slice.
     """
     if not states[0].batch:
         yield run(*states)
         return
     words, d1d2 = states[0].batch[0], math.prod(s.dim for s in states)
-    step = max(1, words * d1d2 // per_word)
+    step = max(1, max(words * d1d2, _SLICE_FLOOR) // per_word)
     for lo in range(0, words, step):
         yield run(*(PureState._fresh(s.dims, s.amps[lo : lo + step]) for s in states))
 
 
+def _flips(t1: TriggerSet, t2: TriggerSet) -> tuple[np.ndarray, np.ndarray]:
+    """Each register's ±1 correction, laid out on the (d1, d2) register
+    axes; a core builds them once and every slice's feedforward reads them."""
+    return _signs(t1)[:, None], _signs(t2)
+
+
 def _feedforward(
-    outcomes: list[BsmOutcome], t1: TriggerSet, t2: TriggerSet
+    outcomes: list[BsmOutcome], flips: tuple[np.ndarray, np.ndarray]
 ) -> tuple[BranchOutcome, ...]:
-    # each register's correction, laid out on the (d1, d2) register axes
-    flips = (_signs(t1)[:, None], _signs(t2))
     branches = []
     for o in outcomes:
         if o.label == "fail" or o.state is None:
@@ -174,6 +183,7 @@ def _fuse(
     mass,
     t1: TriggerSet,
     t2: TriggerSet,
+    flips: tuple[np.ndarray, np.ndarray],
     model: BsmModel,
     expected: Fraction,
 ) -> SchemeResult:
@@ -201,7 +211,7 @@ def _fuse(
             f"simulated success {off!r} deviates from {simulated} by more than "
             f"{PROBABILITY_ATOL}"
         )
-    branches = _feedforward(outcomes, t1, t2)
+    branches = _feedforward(outcomes, flips)
     return SchemeResult(
         scheme=scheme,
         output=branches[0].output if branches else None,
@@ -242,6 +252,7 @@ def _run_state_dependent(
     t1 = _as_trigger_set(c1, psi1.dim)
     t2 = _as_trigger_set(c2, psi2.dim)
     expected = success_probability("state-dependent", len(t1), len(t2), model)
+    flips = _flips(t1, t2)
     d1, d2, k1, k2 = t1.dim, t2.dim, len(t1), len(t2)
     # a router's n-mode two-photon matrix beside the product it is summed
     # from and its photons' mode vectors, 2n(n+2), the second one beside
@@ -256,7 +267,7 @@ def _run_state_dependent(
     )
 
     return _by_slice(
-        lambda psi1, psi2: _route_flag_fuse(psi1, psi2, t1, t2, model, expected),
+        lambda psi1, psi2: _route_flag_fuse(psi1, psi2, t1, t2, flips, model, expected),
         [psi1, psi2],
         per_word,
     )
@@ -267,6 +278,7 @@ def _route_flag_fuse(
     psi2: PureState,
     t1: TriggerSet,
     t2: TriggerSet,
+    flips: tuple[np.ndarray, np.ndarray],
     model: BsmModel,
     expected: Fraction,
 ) -> SchemeResult:
@@ -274,7 +286,7 @@ def _route_flag_fuse(
     # the fusion
     (flag1, kept1), (flag2, kept2) = _route_flag(psi1, t1), _route_flag(psi2, t2)
     resource = permute_subsystems(tensor(flag1, flag2), (0, 2, 1, 3))
-    return _fuse("state-dependent", resource, kept1 * kept2, t1, t2, model, expected)
+    return _fuse("state-dependent", resource, kept1 * kept2, t1, t2, flips, model, expected)
 
 
 def _route_flag(psi: PureState, triggers: TriggerSet) -> tuple[PureState, np.ndarray]:
@@ -364,12 +376,13 @@ def _run_state_independent(
     # ladder is one sign pattern over (level, flag), laid out on the flag
     # register's axes (d1, d2, f1, f2)
     ladders = [_signs(t1, _FLAG)[:, None, :, None], _signs(t2, _FLAG)[:, None, :]]
+    flips = _flips(t1, t2)
     expected = success_probability("state-independent", len(t1), len(t2), model)
 
     # the ladder holds at most the (d1, d2, 2, 2) register beside its image
     # under one Hadamard, less than the fusion tail
     return _by_slice(
-        lambda joint: _ladder_fuse(joint, t1, t2, ladders, model, expected),
+        lambda joint: _ladder_fuse(joint, t1, t2, ladders, flips, model, expected),
         [joint],
         _fuse_words(d1, d2, model),
     )
@@ -380,6 +393,7 @@ def _ladder_fuse(
     t1: TriggerSet,
     t2: TriggerSet,
     ladders: list[np.ndarray],
+    flips: tuple[np.ndarray, np.ndarray],
     model: BsmModel,
     expected: Fraction,
 ) -> SchemeResult:
@@ -392,5 +406,5 @@ def _ladder_fuse(
     reg = PureState._fresh(joint.dims + (2, 2), amps)
 
     # the ladder's sign multiplies keep the whole mass
-    return _fuse("state-independent", reg, 1.0, t1, t2, model, expected)
+    return _fuse("state-independent", reg, 1.0, t1, t2, flips, model, expected)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from fractions import Fraction
@@ -31,7 +32,7 @@ from qompress.compress import (
     trigger_sets,
 )
 from qompress.mcz import multi_level_cz
-from qompress.qstate import PureState, apply
+from qompress.qstate import PureState, Unitary, apply
 
 
 def full_adder_bits(a: int, b: int, cin: int) -> tuple[int, int]:
@@ -434,6 +435,88 @@ class TestSimulation:
             )
             assert seen["in"].shape[1:] == layout.dims
             assert np.array_equal(seen["out"], dense.amps)
+
+    # (layout, gate): each kind with its target in either group in turn
+    X_KINDS = [(layout, Gate(kind, operands)) for layout, gates in [
+        (qfa_layout(), [("x", (1,)), ("x", (3,)), ("cx", (1, 3)), ("cx", (3, 1)), ("ccx", (0, 2, 3)),
+                        ("ccx", (3, 0, 2)), ("ccx", (0, 1, 2)), ("mcx", (0, 1, 3, 2)),
+                        ("mcx", (2, 1, 0, 3))]),
+        # the crossing skips the middle group, which passes through
+        (QuditLayout(((0, 1), (2, 3), (4, 5))),
+         [("x", (0,)), ("x", (4,)), ("cx", (1, 4)), ("cx", (5, 0)), ("ccx", (0, 1, 5)),
+          ("ccx", (4, 5, 1)), ("mcx", (0, 1, 4, 5)), ("mcx", (4, 5, 1, 0))]),
+        # groups listed out of index order
+        (QuditLayout(((2, 0), (3, 1))),
+         [("x", (0,)), ("x", (1,)), ("cx", (0, 1)), ("cx", (1, 0)), ("ccx", (2, 0, 1)),
+          ("ccx", (3, 1, 0)), ("mcx", (2, 3, 0, 1)), ("mcx", (3, 1, 2, 0))]),
+    ] for kind, operands in gates]
+
+    @staticmethod
+    def hadamard_sandwich(gate: Gate, layout: QuditLayout) -> Unitary:
+        """The dense H·S·H of an x-kind gate on the whole register, S the sign
+        over its operands, in the register's level order."""
+        order = [q for group in layout.groups for q in group]
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        ht = functools.reduce(np.kron, [h if q == gate.target else np.eye(2) for q in order])
+        signs = [-1.0 if all(word[order.index(q)] for q in gate.operands) else 1.0
+                 for word in itertools.product((0, 1), repeat=len(order))]
+        return Unitary(ht @ np.diag(signs) @ ht)
+
+    @pytest.mark.parametrize("backend, layout, gate", [
+        # every backend runs a local gate densely; a crossing only on the
+        # dense backends
+        (backend, layout, gate) for layout, gate in X_KINDS for backend in BACKENDS
+        if backend not in schemes.SCHEMES or len({layout.group_of(q) for q in gate.operands}) == 1
+    ])
+    def test_dense_x_kind_equals_its_hadamard_sandwich(self, monkeypatch, backend, layout, gate):
+        # a random register enters the gate; it must come out as the dense
+        # H·S·H applied to it, with no Hadamard run in between
+        rng = np.random.default_rng(127)
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def hadamard(reg, n, axis):
+            if "in" in seen:
+                seen["out"] = reg
+                raise Stop
+            x = rng.standard_normal(reg.shape) + 1j * rng.standard_normal(reg.shape)
+            seen["in"] = x / np.linalg.norm(x.reshape(len(x), -1), axis=1).reshape(
+                (-1,) + (1,) * (x.ndim - 1)
+            )
+            return seen["in"]
+
+        monkeypatch.setattr(compress, "_hadamard", hadamard)
+        circuit = CircuitIR(layout.qubit_count, (Gate("h", (0,)), gate, Gate("h", (0,))))
+        with pytest.raises(Stop):
+            simulate_compressed(circuit, layout, backend)
+        dense = apply(self.hadamard_sandwich(gate, layout), PureState(layout.dims, seen["in"]))
+        assert seen["out"].shape == dense.amps.shape
+        np.testing.assert_allclose(seen["out"], dense.amps, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_hadamards_run_for_h_and_scheme_crossings_only(self, monkeypatch, backend):
+        # local x-kinds, and on the dense backends the crossing too, are
+        # permutations; a scheme crossing runs inside a Hadamard on its target
+        layout = QuditLayout(((0, 1), (2, 3)))
+        circuit = CircuitIR(4, (
+            Gate("h", (0,)), Gate("x", (1,)), Gate("cx", (1, 0)),
+            Gate("ccx", (1, 2, 3)), Gate("cx", (2, 3)), Gate("h", (0,)),
+        ))
+        axes = []
+
+        def hadamard(reg, n, axis, _real=compress._hadamard):
+            axes.append(axis)
+            return _real(reg, n, axis)
+
+        monkeypatch.setattr(compress, "_hadamard", hadamard)
+        table = simulate_compressed(circuit, layout, backend)
+        assert axes == ([0, 3, 3, 0] if backend in schemes.SCHEMES else [0, 0])
+        assert table == {
+            w: (w[0], 1 - w[1], w[2], w[3] ^ ((1 - w[1]) & w[2]) ^ w[2])
+            for w in itertools.product((0, 1), repeat=4)
+        }
 
     @pytest.mark.parametrize("backend, core, circuit, crossings", [
         ("state-independent", "_run_state_independent", qfa_circuit, 2),

@@ -32,6 +32,7 @@ from qompress.qstate import (
 )
 from qompress.schemes import (
     _feedforward,
+    _flips,
     _run_state_dependent,
     _run_state_independent,
     run_state_dependent,
@@ -248,6 +249,12 @@ class TestBatchedCores:
     must come out as the logical gate, with the probabilities of its own
     single call."""
 
+    @pytest.fixture(autouse=True)
+    def several_slices(self, monkeypatch):
+        # without the slice floor the 40-word stacks below still span
+        # several slices
+        monkeypatch.setattr(schemes, "_SLICE_FLOOR", 0)
+
     @staticmethod
     def check_words(slices, singles, wants):
         # the stack spans several slices of several words each
@@ -354,6 +361,15 @@ class TestSliceMemory:
         ]:
             assert self.peak_above_input(run) <= self.REGISTER + allowance, name
 
+    @MODELS
+    def test_a_small_batch_runs_in_one_slice(self, model):
+        # 64 words of (8, 8) sit below the slice floor, so one slice holds them
+        rng = np.random.default_rng(173)
+        joints = random_batch((64, 8, 8), rng)
+        joints /= np.linalg.norm(joints.reshape(64, -1), axis=1)[:, None, None]
+        slices = list(_run_state_independent(PureState((8, 8), joints), (7,), (5, 7), "fast", model))
+        assert len(slices) == 1 and len(slices[0].output.amps) == 64
+
     def test_outputs_are_read_only(self):
         rng = np.random.default_rng(167)
         words = np.array([random_state((3, 4), rng).amps for _ in range(6)])
@@ -383,7 +399,7 @@ class TestSignMultiplies:
         t1, t2 = TriggerSet((1, 3), 4), TriggerSet((0,), 3)
         state = PureState((4, 3), random_batch((16, 4, 3), rng))
         outcomes = [BsmOutcome(label, np.full(16, 0.25), state) for label in BELL_LABELS]
-        branches = _feedforward(outcomes, t1, t2)
+        branches = _feedforward(outcomes, _flips(t1, t2))
         # phi- corrects register 1, psi+ register 2 and psi- both
         fixes = {"phi+": (), "phi-": (0,), "psi+": (1,), "psi-": (0, 1)}
         assert [b.label for b in branches] == list(BELL_LABELS)
