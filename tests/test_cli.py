@@ -330,7 +330,9 @@ class TestReadmeTranscripts:
 
     @pytest.mark.parametrize("command", [
         "qompress verify --d1 8 --d2 2 --c1 3,7 --c2 1 --scheme state-dependent",
+        "qompress verify --d1 8 --d2 2 --c1 3,7 --c2 1 --scheme state-independent",
         "qompress compress",
+        "qompress reproduce",
     ])
     def test_transcript(self, capsys, monkeypatch, command):
         monkeypatch.delenv("QOMPRESS_SEED", raising=False)
