@@ -10,7 +10,8 @@ commits unpacked into two directories). The script runs
   block;
 - the 12-qubit `ccx(i, i+1, i+2)` chain on two and three equal groups
   with the `standard` and `state-independent` backends, wall time and
-  peak RSS, one process each.
+  peak RSS, one process each (a chain that prints no result, say one
+  killed for memory, keeps its exit code and stderr instead).
 
 The output file is written afresh.
 
@@ -74,9 +75,17 @@ def tier1(path: Path) -> dict:
 
 
 def chains(path: Path) -> list[dict]:
-    return [json.loads(run([sys.executable, "-c", CHAIN, str(k), backend], path,
-                           env={**os.environ, "PYTHONPATH": "src"}).stdout)
-            for backend in ("standard", "state-independent") for k in (2, 3)]
+    # a chain that crashes or runs out of memory prints no result line; its
+    # stderr is recorded in its place, so the pairs already run are kept
+    records = []
+    for backend in ("standard", "state-independent"):
+        for k in (2, 3):
+            out = run([sys.executable, "-c", CHAIN, str(k), backend], path,
+                      env={**os.environ, "PYTHONPATH": "src"})
+            records.append(json.loads(out.stdout) if out.stdout.startswith("{") else
+                           {"groups": k, "backend": backend, "returncode": out.returncode,
+                            "stderr": out.stderr})
+    return records
 
 
 def main(argv=None) -> int:

@@ -15,19 +15,17 @@ BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 # an ideal analyzer heralds every Bell outcome
 _ALL_HERALDS = frozenset(BELL_LABELS)
 
-_BELL = {
-    "phi+": np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0),
-    "phi-": np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0),
-    "psi+": np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2.0),
-    "psi-": np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0),
-}
+# the Bell vectors over the qubit pair, one (2, 2) array per label in
+# BELL_LABELS order
+_BELL_PAIRS = np.array(
+    [[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 1], [-1, 0]]]
+) / np.sqrt(2.0)
 
 
 def bell_vector(label: str) -> np.ndarray:
-    try:
-        return _BELL[label].copy()
-    except KeyError:
-        raise ValueError(f"unknown Bell label {label!r}") from None
+    if label not in BELL_LABELS:
+        raise ValueError(f"unknown Bell label {label!r}")
+    return _BELL_PAIRS[BELL_LABELS.index(label)].flatten()
 
 
 @dataclass(frozen=True)
@@ -196,13 +194,15 @@ def bell_measurement(state: PureState, model: BsmModel) -> list[BsmOutcome]:
     """
     if state.batch:
         raise ValueError(f"bell_measurement takes one state, got a batch {state.batch}")
-    return _bell_outcomes(state, model)
+    return _bell_outcomes(state, model, _BELL_PAIRS)
 
 
-def _bell_outcomes(state: PureState, model: BsmModel) -> list[BsmOutcome]:
-    """bell_measurement over a batch: every probability is then an array
-    with one entry per word, and a word whose outcome is below 1e-14 gets
-    a zero conditional state (an unbatched state gets None)."""
+def _bell_outcomes(state: PureState, model: BsmModel, vectors: np.ndarray) -> list[BsmOutcome]:
+    """bell_measurement over a batch, projecting the pair on `vectors`, the
+    Bell vectors' (2, 2) arrays or their images under a gate folded in.
+    Every probability is an array with one entry per word, and a word whose
+    outcome is below 1e-14 gets a zero conditional state (an unbatched
+    state gets None)."""
     if len(state.dims) < 2 or state.dims[-2:] != (2, 2):
         raise ValueError(f"need a qubit pair at the end, got dims {state.dims}")
     front_dims = state.dims[:-2]
@@ -210,10 +210,9 @@ def _bell_outcomes(state: PureState, model: BsmModel) -> list[BsmOutcome]:
     per_word = (...,) + (None,) * len(front_dims)
     outcomes = []
     heralded_mass = 0.0
-    for label in BELL_LABELS:
+    for label, vec in zip(BELL_LABELS, vectors):
         if label not in model.heralds:
             continue
-        vec = _BELL[label].reshape(2, 2)
         front = np.tensordot(state.amps, vec.conj(), axes=([-2, -1], [0, 1]))
         mass = np.abs(front)
         mass *= mass

@@ -59,10 +59,10 @@ class PureState:
 
     @classmethod
     def _fresh(cls, dims: tuple[int, ...], amps: np.ndarray) -> "PureState":
-        """A state over an array a stage has just computed. The checks are
-        the constructor's, but the array is frozen as it is, not copied, so
-        the caller hands it over and keeps no writable reference to it."""
-        dims, amps = _fit(dims, amps)
+        """A state over a complex array of shape batch + dims that a stage
+        has just computed, wrapped without the constructor's checks or copy.
+        The array is frozen as it is, so the caller hands it over and keeps
+        no writable reference to it."""
         amps.setflags(write=False)
         state = object.__new__(cls)
         object.__setattr__(state, "dims", dims)

@@ -27,6 +27,7 @@ from .mcz import (
     BsmModel,
     BsmOutcome,
     TriggerSet,
+    _BELL_PAIRS,
     _as_trigger_set,
     _ancilla,
     _bell_outcomes,
@@ -39,10 +40,7 @@ from .qstate import (
     NORM_ATOL,
     PureState,
     Unitary,
-    _H,
-    _hadamard_axis,
-    permute_subsystems,
-    tensor,
+    hadamard,
     truncate_subsystem,
 )
 
@@ -63,9 +61,10 @@ _CORRECTIONS = {
     "psi-": (True, True),
 }
 
-# the flag qubit's trigger level: a two-level gate flips the sign where its
-# register sits on one trigger level and the flag on 1
-_FLAG = TriggerSet((1,), 2)
+# the fusion reads the second flag through a Hadamard: the analyzer projects
+# the flags on the Bell vectors' images under it, B·H, and no rotated copy of
+# the flagged register is made
+_FUSION = _BELL_PAIRS @ hadamard().entries
 
 
 @dataclass(frozen=True)
@@ -170,11 +169,11 @@ def _feedforward(
 
 def _fuse_words(d1: int, d2: int, model: BsmModel) -> int:
     """Amplitudes per word live at once in the fusion tail: the flagged
-    register and its fused image (4·d1·d2 each) beside one conditional
-    state per heralded outcome and a modulus buffer (d1·d2 each), plus the
-    word's probabilities and masks (8). The corrected branches come after
-    the fused image is gone."""
-    return (9 + len(model.heralds)) * d1 * d2 + 8
+    register (4·d1·d2) beside one conditional state per heralded outcome
+    and one corrected branch per outcome at most (d1·d2 each), plus the
+    word's probabilities and masks (8). While the analyzer runs, its
+    modulus buffer (half of d1·d2) stands where the branches will be."""
+    return (4 + 2 * len(model.heralds)) * d1 * d2 + 8
 
 
 def _fuse(
@@ -201,9 +200,7 @@ def _fuse(
     from_formula = Fraction(h, 16) ** k if ladder else 1
     # a model that heralds nothing has nothing left to divide
     simulated = expected / from_formula if from_formula else expected
-    outcomes = _bell_outcomes(
-        PureState._fresh(flagged.dims, _hadamard_axis(flagged.amps, -1)), model
-    )
+    outcomes = _bell_outcomes(flagged, model, _FUSION)
     heralded = sum(o.probability for o in outcomes if o.label != "fail")
     off = _first_off(mass * heralded, float(simulated))
     if off is not None:
@@ -283,9 +280,11 @@ def _route_flag_fuse(
     expected: Fraction,
 ) -> SchemeResult:
     # each register meets its own router and flag; the two first meet at
-    # the fusion
+    # the fusion, as one C-ordered (d1, d2, f1, f2) product that the
+    # analyzer reads without a copy
     (flag1, kept1), (flag2, kept2) = _route_flag(psi1, t1), _route_flag(psi2, t2)
-    resource = permute_subsystems(tensor(flag1, flag2), (0, 2, 1, 3))
+    product = flag1.amps[..., :, None, :, None] * flag2.amps[..., None, :, None, :]
+    resource = PureState._fresh((t1.dim, t2.dim, 2, 2), product)
     return _fuse("state-dependent", resource, kept1 * kept2, t1, t2, flips, model, expected)
 
 
@@ -372,17 +371,19 @@ def _run_state_independent(
         for ts in (t1, t2):
             for s in ts:
                 verified_two_level_cz(ts.dim, s)
-    # the two-level gates are diagonal on (register, flag), so a side's whole
-    # ladder is one sign pattern over (level, flag), laid out on the flag
-    # register's axes (d1, d2, f1, f2)
-    ladders = [_signs(t1, _FLAG)[:, None, :, None], _signs(t2, _FLAG)[:, None, :]]
     flips = _flips(t1, t2)
+    # a flag's ladder, H·S·H on |0> with S its register's two-level gates of
+    # signs s, leaves it ((1+s)|0> + (1-s)|1>)/2: exactly |1> on the trigger
+    # levels and |0> elsewhere. Both flags' states, laid out on the flagged
+    # register's axes (d1, d2, f1, f2), are 0 or 1
+    f1, f2 = (np.stack([1 + f, 1 - f], axis=-1) / 2 for f in flips)
+    marks = f1[..., None] * f2[:, None, :]
     expected = success_probability("state-independent", len(t1), len(t2), model)
 
-    # the ladder holds at most the (d1, d2, 2, 2) register beside its image
-    # under one Hadamard, less than the fusion tail
+    # the ladder holds the (d1, d2, 2, 2) register alone, less than the
+    # fusion tail
     return _by_slice(
-        lambda joint: _ladder_fuse(joint, t1, t2, ladders, flips, model, expected),
+        lambda joint: _ladder_fuse(joint, t1, t2, marks, flips, model, expected),
         [joint],
         _fuse_words(d1, d2, model),
     )
@@ -392,19 +393,14 @@ def _ladder_fuse(
     joint: PureState,
     t1: TriggerSet,
     t2: TriggerSet,
-    ladders: list[np.ndarray],
+    marks: np.ndarray,
     flips: tuple[np.ndarray, np.ndarray],
     model: BsmModel,
     expected: Fraction,
 ) -> SchemeResult:
-    # both flag axes start at size 1, in state 0, where a flag's first
-    # Hadamard leaves h·amplitude on both levels; its sign multiply
-    # broadcasts the axis to both levels and its second Hadamard follows
-    amps = joint.amps[..., None, None]
-    for axis, signs in zip((-2, -1), ladders):
-        amps = _hadamard_axis(amps * _H * signs, axis)
-    reg = PureState._fresh(joint.dims + (2, 2), amps)
+    # the ladder in closed form: each word beside both flags' states
+    reg = PureState._fresh(joint.dims + (2, 2), joint.amps[..., None, None] * marks)
 
-    # the ladder's sign multiplies keep the whole mass
+    # the ladder's sign gates keep the whole mass
     return _fuse("state-independent", reg, 1.0, t1, t2, flips, model, expected)
 

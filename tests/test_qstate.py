@@ -290,3 +290,59 @@ class TestOwnership:
             with pytest.raises(ValueError):
                 out.amps[(0,) * out.amps.ndim] = 1.0
         np.testing.assert_array_equal(batch.amps, before)
+
+
+class TestFreshStates:
+    """PureState._fresh wraps the array a stage has just computed without
+    the constructor's checks, so every stage must hand it a complex array
+    of shape batch + dims, dims a tuple of ints."""
+
+    def test_every_stage_hands_over_a_checked_register(self, monkeypatch, capsys):
+        from qompress import compress, schemes
+        from qompress.cli import main
+        from qompress.mcz import BsmModel
+
+        calls = []
+        real = PureState._fresh.__func__
+
+        def fresh(cls, dims, amps):
+            assert type(dims) is tuple and all(isinstance(d, int) for d in dims), dims
+            assert isinstance(amps, np.ndarray) and amps.dtype == complex, type(amps)
+            assert amps.shape[amps.ndim - len(dims):] == dims, (amps.shape, dims)
+            calls.append(dims)
+            return real(cls, dims, amps)
+
+        monkeypatch.setattr(PureState, "_fresh", classmethod(fresh))
+        monkeypatch.delenv("QOMPRESS_SEED", raising=False)
+        rng = np.random.default_rng(191)
+        words = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
+        words /= np.linalg.norm(words, axis=1, keepdims=True)
+        joint = PureState((3, 4), words.reshape(5, 3, 4))
+        psi1, psi2 = (PureState((d,), w / np.linalg.norm(w, axis=1, keepdims=True))
+                      for d, w in ((3, words[:, :3]), (4, words[:, 8:])))
+        # a crossing with a spectator qubit in superposition
+        circuit = compress.CircuitIR(4, tuple(
+            compress.Gate(*g) for g in (("h", (0,)), ("ccx", (1, 2, 3)), ("h", (0,)))))
+
+        def runs():
+            """Run every stage; yield after each run whether it builds states."""
+            for model in (BsmModel.ideal(), BsmModel.linear_optics()):
+                for mode in ("fast", "faithful"):
+                    list(schemes._run_state_independent(joint, (1,), (0, 3), mode, model))
+                    yield True
+                list(schemes._run_state_dependent(psi1, psi2, (1,), (0, 3), model))
+                yield True
+            for backend in compress.BACKENDS:
+                compress.simulate_compressed(circuit, compress.qfa_layout(), backend)
+                # the dense backends work on plain arrays
+                yield backend not in ("uncompressed", "standard")
+            for argv in (["verify", "--scheme", "state-dependent"],
+                         ["verify", "--scheme", "state-independent"], ["reproduce"]):
+                assert main(argv) == 0, argv
+                capsys.readouterr()
+                yield True
+
+        before = 0
+        for builds in runs():
+            assert len(calls) > before or not builds
+            before = len(calls)

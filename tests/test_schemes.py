@@ -16,7 +16,9 @@ from qompress.mcz import (
     BsmOutcome,
     TriggerSet,
     _ancilla,
+    _bell_outcomes,
     ancilla_flag_unitary,
+    bell_measurement,
     correction_unitary,
     multi_level_cz,
     trigger_pattern,
@@ -26,6 +28,7 @@ from qompress.qstate import (
     PureState,
     apply,
     fidelity_up_to_phase,
+    hadamard,
     random_state,
     tensor,
     truncate_subsystem,
@@ -412,34 +415,56 @@ class TestSignMultiplies:
     @pytest.mark.parametrize("mode", ["fast", "faithful"])
     def test_flag_ladder(self, monkeypatch, mode):
         d1, d2, c1, c2 = 4, 3, (0, 2, 3), (1,)
-        seen = {"verified": []}
+        verified = []
 
-        def ladder_fuse(joint, t1, t2, ladders, *rest, _real=schemes._ladder_fuse):
-            seen["ladders"] = ladders
-            return _real(joint, t1, t2, ladders, *rest)
-
-        def verified(d, s, _real=verified_two_level_cz):
-            seen["verified"].append((d, s))
+        def verify(d, s, _real=verified_two_level_cz):
+            verified.append((d, s))
             return _real(d, s)
 
-        monkeypatch.setattr(schemes, "_ladder_fuse", ladder_fuse)
-        monkeypatch.setattr(schemes, "verified_two_level_cz", verified)
+        monkeypatch.setattr(schemes, "verified_two_level_cz", verify)
         rng = np.random.default_rng(109)
         joint = PureState((d1, d2), np.array([random_state((d1, d2), rng).amps for _ in range(8)]))
-        list(_run_state_independent(joint, c1, c2, mode, BsmModel.ideal()))
+        (res,) = _run_state_independent(joint, c1, c2, mode, BsmModel.ideal())
         # faithful mode cross-checks every two-level gate the ladder uses
         checked = [(d1, s) for s in c1] + [(d2, s) for s in c2]
-        assert seen["verified"] == (checked if mode == "faithful" else [])
+        assert verified == (checked if mode == "faithful" else [])
 
-        # the ladder on a random batched flag register (d1, d2, f1, f2)
-        reg = PureState((d1, d2, 2, 2), random_batch((8, d1, d2, 2, 2), rng))
-        want = reg
+        # the closed form against the ladder gate by gate: flags (subsystems
+        # 2 and 3) in |0>, a Hadamard on each, every two-level gate, and the
+        # Hadamards again
+        want = tensor(joint, PureState.basis((2, 2), (0, 0)))
+        for flag in (2, 3):
+            want = apply(hadamard().on(flag), want)
         for s in c1:
             want = apply(multi_level_cz(d1, 2, (s,), (1,)).on(0, 2), want)
         for s in c2:
             want = apply(multi_level_cz(d2, 2, (s,), (1,)).on(1, 3), want)
-        first, second = seen["ladders"]
-        assert np.array_equal(reg.amps * first * second, want.amps)
+        for flag in (2, 3):
+            want = apply(hadamard().on(flag), want)
+        assert res.resource_state.dims == want.dims
+        np.testing.assert_allclose(res.resource_state.amps, want.amps, rtol=0, atol=1e-15)
+
+
+class TestFusion:
+    """Both schemes fuse the flags by a Bell measurement that reads the
+    second flag through a Hadamard, folded into the analyzer's vectors: the
+    outcomes must be the public analyzer's on the rotated register."""
+
+    @MODELS
+    @pytest.mark.parametrize("d1, d2", [(2, 2), (4, 3), (8, 2)])
+    def test_folded_hadamard(self, model, d1, d2):
+        rng = np.random.default_rng(181 + d1 * d2)
+        for _ in range(4):
+            state = random_state((d1, d2, 2, 2), rng)
+            got = _bell_outcomes(state, model, schemes._FUSION)
+            want = bell_measurement(apply(hadamard().on(3), state), model)
+            assert [o.label for o in got] == [o.label for o in want]
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a.probability, b.probability, rtol=0, atol=1e-15)
+                assert (a.state is None) == (b.state is None)
+                if a.state is not None:
+                    assert a.state.dims == b.state.dims == (d1, d2)
+                    np.testing.assert_allclose(a.state.amps, b.state.amps, rtol=0, atol=1e-14)
 
 
 class TestProbabilityCheck:
