@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary, random_amplitudes
+from qompress import compress, schemes
+from qompress.cli import main
+from qompress.mcz import BsmModel
 from qompress.qstate import (
     PureState,
     Unitary,
@@ -298,10 +301,6 @@ class TestFreshStates:
     of shape batch + dims, dims a tuple of ints."""
 
     def test_every_stage_hands_over_a_checked_register(self, monkeypatch, capsys):
-        from qompress import compress, schemes
-        from qompress.cli import main
-        from qompress.mcz import BsmModel
-
         calls = []
         real = PureState._fresh.__func__
 

@@ -395,7 +395,9 @@ def random_batch(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray
 class TestSignMultiplies:
     """Inside the schemes every sign gate is a multiply by a ±1 array. On
     random batched states each must equal the dense gate's apply exactly;
-    IEEE equality, so the sign of a zero does not count."""
+    IEEE equality, so the sign of a zero does not count. The flag ladder's
+    gates are folded into its closed form, which must equal their dense
+    composition up to the Hadamards' rounding."""
 
     def test_feedforward_corrections(self):
         rng = np.random.default_rng(107)
