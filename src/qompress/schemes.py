@@ -254,8 +254,9 @@ def _run_state_dependent(
     # a router's n-mode two-photon matrix beside the product it is summed
     # from and its photons' mode vectors, 2n(n+2), the second one beside
     # the first register's flag, a view that keeps its (d1, k1+2) base
-    # alive; then the fusion tail beside both flags. A flag's own stage,
-    # at most d(3k+4), stays below its router's 2n(n+2).
+    # alive; then the fusion tail, whose flagged register is the flags'
+    # C-ordered product, beside both flags. A flag's own stage, at most
+    # d(3k+4), stays below its router's 2n(n+2).
     n1, n2 = d1 + k1 + 1, d2 + k2 + 1
     per_word = max(
         2 * n1 * (n1 + 2),
