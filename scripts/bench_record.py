@@ -5,13 +5,18 @@ commits unpacked into two directories). The script runs
 
 - `perfbench/run.py` at its default run length in alternating
   parent/change pairs, one `--pair` spec `WORKLOAD:SEED:PAIRS` each; odd
-  pairs run the change first;
+  pairs run the change first; each run keeps its result line and, beside
+  it, the per-class median op times of its detail line;
 - the Tier-1 suite once per side, with its wall time and `--durations=10`
   block;
 - the 12-qubit `ccx(i, i+1, i+2)` chain on two and three equal groups
   with the `standard` and `state-independent` backends, wall time and
-  peak RSS, one process each (a chain that prints no result, say one
-  killed for memory, keeps its exit code and stderr instead).
+  peak RSS, one process each;
+- `cost_report` on one `cx` across a w-qubit group and a 2-qubit group,
+  w = 14 to 20, wall time and peak RSS, one process each.
+
+A process that prints no result, say one killed for memory, keeps its
+exit code and stderr instead.
 
 The output file is written afresh.
 
@@ -42,6 +47,18 @@ print(json.dumps({"groups": k, "backend": backend, "wall_s": time.perf_counter()
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
+WIDE_PRICING = """
+import json, resource, sys, time
+from qompress.compress import CircuitIR, Gate, QuditLayout, cost_report
+w = int(sys.argv[1])
+circuit = CircuitIR(w + 2, (Gate("cx", (0, w)),))
+layout = QuditLayout((tuple(range(w)), (w, w + 1)))
+t0 = time.perf_counter()
+cost_report(circuit, layout)
+print(json.dumps({"width": w, "wall_s": time.perf_counter() - t0,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
 
 def run(cmd: list[str], cwd: Path, **kw) -> subprocess.CompletedProcess:
     return subprocess.run(cmd, cwd=cwd, capture_output=True, text=True, **kw)
@@ -56,8 +73,11 @@ def bench_pairs(sides: dict[str, Path], spec: str, record: dict):
                        "--trace", "0"], sides[side])
             lines = [json.loads(line) for line in out.stdout.splitlines() if line.startswith("{")]
             record.setdefault("environment", lines[0]["environment"] if lines else None)
+            detail = next((line["detail"] for line in lines if "detail" in line), {})
             record["runs"].append({"workload": workload, "seed": int(seed), "pair": pair,
-                                   "side": side, "result": lines[-1] if lines else out.stderr})
+                                   "side": side, "result": lines[-1] if lines else out.stderr,
+                                   "class_median_ms": {cls: c["median_ms"] for cls, c
+                                                       in detail.get("classes", {}).items()}})
             print(side, workload, seed, pair, lines[-1]["metrics"]["op_ms"]["value"] if lines else "?",
                   file=sys.stderr)
 
@@ -74,17 +94,16 @@ def tier1(path: Path) -> dict:
     return {"wall_s": wall, "summary": lines[-1] if lines else "", "durations": durations}
 
 
-def chains(path: Path) -> list[dict]:
-    # a chain that crashes or runs out of memory prints no result line; its
-    # stderr is recorded in its place, so the pairs already run are kept
+def script_runs(path: Path, script: str, arg_lists) -> list[dict]:
+    # a process that crashes or runs out of memory prints no result line; its
+    # exit code and stderr are recorded in its place, so the runs already made
+    # are kept
     records = []
-    for backend in ("standard", "state-independent"):
-        for k in (2, 3):
-            out = run([sys.executable, "-c", CHAIN, str(k), backend], path,
-                      env={**os.environ, "PYTHONPATH": "src"})
-            records.append(json.loads(out.stdout) if out.stdout.startswith("{") else
-                           {"groups": k, "backend": backend, "returncode": out.returncode,
-                            "stderr": out.stderr})
+    for args in arg_lists:
+        out = run([sys.executable, "-c", script, *map(str, args)], path,
+                  env={**os.environ, "PYTHONPATH": "src"})
+        records.append(json.loads(out.stdout) if out.stdout.startswith("{") else
+                       {"args": list(args), "returncode": out.returncode, "stderr": out.stderr})
     return records
 
 
@@ -101,7 +120,11 @@ def main(argv=None) -> int:
     for spec in args.pair:
         bench_pairs(sides, spec, record)
     record["tier1"] = {side: tier1(path) for side, path in sides.items()}
-    record["ccx_chain_12"] = {side: chains(path) for side, path in sides.items()}
+    record["ccx_chain_12"] = {
+        side: script_runs(path, CHAIN, [(k, b) for b in ("standard", "state-independent") for k in (2, 3)])
+        for side, path in sides.items()}
+    record["wide_cx_pricing"] = {side: script_runs(path, WIDE_PRICING, [(w,) for w in range(14, 21)])
+                                 for side, path in sides.items()}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

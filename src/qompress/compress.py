@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from importlib import resources
 from operator import attrgetter
@@ -50,17 +51,17 @@ class Gate:
     operands: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in _ARITY and self.kind not in _VARIADIC:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        operands = tuple(int(q) for q in self.operands)
         want = _ARITY.get(self.kind)
+        if want is None and self.kind not in _VARIADIC:
+            raise ValueError(f"unknown gate kind {self.kind!r}")
+        operands = tuple(map(int, self.operands))
         if want is not None and len(operands) != want:
             raise ValueError(f"{self.kind} takes {want} operands, got {len(operands)}")
         if want is None and len(operands) < 2:
             raise ValueError(f"{self.kind} takes at least 2 operands")
         if len(set(operands)) != len(operands):
             raise ValueError(f"repeated operand in {operands}")
-        if any(q < 0 for q in operands):
+        if min(operands) < 0:
             raise ValueError(f"negative operand in {operands}")
         object.__setattr__(self, "operands", operands)
 
@@ -85,7 +86,7 @@ class CircuitIR:
         if self.qubit_count < 1:
             raise ValueError("need at least one qubit")
         for i, gate in enumerate(self.gates):
-            if any(q >= self.qubit_count for q in gate.operands):
+            if max(gate.operands) >= self.qubit_count:
                 raise ValueError(f"gate {i} addresses a qubit outside the register")
         object.__setattr__(self, "gates", tuple(self.gates))
 
@@ -107,7 +108,6 @@ class QuditLayout:
         # each qubit's (group, bit), bit 0 the least significant of its group
         where = {q: (i, len(g) - 1 - pos) for i, g in enumerate(groups) for pos, q in enumerate(g)}
         object.__setattr__(self, "_where", where)
-        # each group register's dimension, read on every crossing
         object.__setattr__(self, "dims", tuple(2 ** len(g) for g in groups))
 
     @property
@@ -130,7 +130,7 @@ def _load_json(text: str):
 
 
 def _check_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:  # a JSON number loads as exactly an int, float or bool
         raise CircuitFormatError(f"{what} must be an integer, got {value!r}")
     return value
 
@@ -150,9 +150,11 @@ def parse_circuit(text: str) -> CircuitIR:
             raise CircuitFormatError(f"gate {i}: kind must be a string")
         if not isinstance(entry["operands"], list):
             raise CircuitFormatError(f"gate {i}: operands must be a list")
-        ops = tuple(_check_int(q, f"gate {i} operand") for q in entry["operands"])
+        for q in entry["operands"]:  # the message is built only for a bad operand
+            if type(q) is not int:
+                _check_int(q, f"gate {i} operand")
         try:
-            gates.append(Gate(entry["kind"], ops))
+            gates.append(Gate(entry["kind"], tuple(entry["operands"])))
         except ValueError as e:
             raise CircuitFormatError(f"gate {i}: {e}") from None
     try:
@@ -167,9 +169,7 @@ def parse_layout(text: str) -> QuditLayout:
         raise CircuitFormatError("layout must carry exactly the key 'groups'")
     if not isinstance(data["groups"], list) or not all(isinstance(g, list) for g in data["groups"]):
         raise CircuitFormatError("'groups' must be a list of lists")
-    groups = tuple(
-        tuple(_check_int(q, "group entry") for q in g) for g in data["groups"]
-    )
+    groups = tuple(tuple(_check_int(q, "group entry") for q in g) for g in data["groups"])
     try:
         return QuditLayout(groups)
     except ValueError as e:
@@ -193,24 +193,59 @@ class GateTag:
     groups: tuple[int, ...]
 
 
-def classify_gates(circuit: CircuitIR, layout: QuditLayout) -> tuple[GateTag, ...]:
+def _masks(gate: Gate, layout: QuditLayout) -> dict[int, int]:
+    """The gate's operand bits in each group it touches, {group: mask}."""
+    masks: dict[int, int] = {}
+    for q in gate.operands:
+        g, bit = layout._where[q]
+        masks[g] = masks.get(g, 0) | 1 << bit
+    return masks
+
+
+def _gate_masks(circuit: CircuitIR, layout: QuditLayout):
+    """Each gate with its operand masks: the one pass that tags and crossings are read from."""
     if layout.qubit_count != circuit.qubit_count:
         raise ValueError("layout does not cover the circuit's qubits")
-    tags = []
-    for gate in circuit.gates:
-        gs = tuple(sorted({layout.group_of(q) for q in gate.operands}))
-        tags.append(GateTag(len(gs) == 1, gs))
-    return tuple(tags)
+    return ((gate, _masks(gate, layout)) for gate in circuit.gates)
+
+
+def classify_gates(circuit: CircuitIR, layout: QuditLayout) -> tuple[GateTag, ...]:
+    return tuple(GateTag(len(m) == 1, tuple(sorted(m))) for _, m in _gate_masks(circuit, layout))
+
+
+def _listed(mask: int, width: int) -> TriggerSet:
+    """The sorted levels of a width-bit register with every mask bit set, in 2^free steps."""
+    levels = [mask]
+    for bit in range(width):  # each free bit, lowest first, doubles the list in order
+        if not mask >> bit & 1:
+            levels += [level | 1 << bit for level in levels]
+    return TriggerSet(tuple(levels), 1 << width)
 
 
 @dataclass(frozen=True)
 class TriggerDerivation:
-    """Trigger sets of a two-group gate on its group registers."""
+    """Trigger sets of a two-group gate on its group registers, kept as each
+    register's operand bits (`masks`) and qubit count (`widths`); the levels
+    are listed as a TriggerSet on the first read of `first` or `second`."""
 
-    first: TriggerSet
-    second: TriggerSet
-    removed: tuple[int, int]
     groups: tuple[int, int]
+    masks: tuple[int, int]
+    widths: tuple[int, int]
+    first = cached_property(lambda self: _listed(self.masks[0], self.widths[0]))
+    second = cached_property(lambda self: _listed(self.masks[1], self.widths[1]))
+
+    @property
+    def removed(self) -> tuple[int, int]:
+        (m1, m2), (w1, w2) = self.masks, self.widths
+        return w1 - m1.bit_count(), w2 - m2.bit_count()
+
+
+def _derivation(masks: dict[int, int], layout: QuditLayout) -> TriggerDerivation:
+    if len(masks) != 2:
+        spread = "stays inside one group" if len(masks) == 1 else "spans more than two groups"
+        raise ValueError(f"gate {spread}")
+    (g1, m1), (g2, m2) = sorted(masks.items())
+    return TriggerDerivation((g1, g2), (m1, m2), (len(layout.groups[g1]), len(layout.groups[g2])))
 
 
 def trigger_sets(gate: Gate, layout: QuditLayout) -> TriggerDerivation:
@@ -220,30 +255,9 @@ def trigger_sets(gate: Gate, layout: QuditLayout) -> TriggerDerivation:
     other bits are free, so it removes as many controls as it has free bits.
     x-kinds are read through their Hadamard sandwich, so the diagonal
     core involves the same qubits as the symmetric sign gate."""
-    masks: dict[int, int] = {}
     for q in gate.operands:
-        g = layout.group_of(q)
-        masks[g] = masks.get(g, 0) | 1 << layout._where[q][1]
-    if len(masks) == 1:
-        raise ValueError("gate stays inside one group")
-    if len(masks) > 2:
-        raise ValueError("gate spans more than two groups")
-    (g1, m1), (g2, m2) = sorted(masks.items())
-    d1, d2 = layout.dims[g1], layout.dims[g2]
-    first = TriggerSet(tuple(m for m in range(d1) if m & m1 == m1), d1)
-    second = TriggerSet(tuple(m for m in range(d2) if m & m2 == m2), d2)
-    removed = tuple(len(layout.groups[g]) - bin(m).count("1") for g, m in ((g1, m1), (g2, m2)))
-    return TriggerDerivation(first, second, removed, (g1, g2))
-
-
-def _crossings(
-    circuit: CircuitIR, layout: QuditLayout, tags: tuple[GateTag, ...]
-) -> tuple[tuple[int, TriggerDerivation], ...]:
-    """Each gate over more than one group, by index, with its derivation in
-    circuit order; a gate over three groups raises ValueError."""
-    return tuple(
-        (i, trigger_sets(circuit.gates[i], layout)) for i, tag in enumerate(tags) if not tag.local
-    )
+        layout.group_of(q)  # a qubit in no group raises ValueError
+    return _derivation(_masks(gate, layout), layout)
 
 
 @dataclass(frozen=True)
@@ -273,51 +287,38 @@ class CostReport:
 
 
 def cost_report(circuit: CircuitIR, layout: QuditLayout) -> CostReport:
-    tags = classify_gates(circuit, layout)
-
-    unc_count = 0
-    for gate in circuit.gates:
+    """The four backend rows, priced from operand masks alone: no trigger level is listed."""
+    unc_count, spans = 0, []
+    for i, (gate, masks) in enumerate(_gate_masks(circuit, layout)):
         if gate.kind not in _CX_EQUIV:
             raise ValueError(f"{gate.kind!r} has no fixed two-qubit decomposition")
         unc_count += _CX_EQUIV[gate.kind]
+        if len(masks) > 1:
+            spans.append((i, masks))
 
-    crossings = _crossings(circuit, layout, tags)
-    # a register that removes r controls has 2^r trigger levels
-    removed = [d.removed for _, d in crossings]
-
-    std_count = sum(2 ** (r1 + r2) for r1, r2 in removed)
+    # every gate without a fixed decomposition is refused above, before a gate
+    # over three groups raises here
+    crossings = tuple((i, _derivation(masks, layout)) for i, masks in spans)
+    # a register that removes r controls has 2^r trigger levels; each distinct
+    # pair of removed counts is priced once, the probability as an exact power
+    std_count = si_count = 0
+    si_prob = Fraction(1)
+    for (r1, r2), count in Counter(d.removed for _, d in crossings).items():
+        std_count += count * 2 ** (r1 + r2)
+        si_count += count * (2**r1 + 2**r2)
+        si_prob *= success_probability("state-independent", 2**r1, 2**r2) ** count
 
     sd_count = len(crossings)
-    reason = None
-    if sd_count > 1:
-        reason = (
-            f"gate {crossings[1][0]} follows an earlier two-group gate, so its input "
-            "marginals are unknown and no router ancilla can be prepared"
-        )
-
-    si_counts = [2**r1 + 2**r2 for r1, r2 in removed]
-    si_prob = math.prod(
-        (success_probability("state-independent", 2**r1, 2**r2) for r1, r2 in removed), start=Fraction(1)
-    )
-
+    reason = None if sd_count < 2 else (
+        f"gate {crossings[1][0]} follows an earlier two-group gate, so its input "
+        "marginals are unknown and no router ancilla can be prepared")
     rows = (
         BackendCost("uncompressed", unc_count, Fraction(1, 9) ** unc_count, 0, True),
         BackendCost("standard", std_count, Fraction(1, 9) ** std_count, 0, True),
-        BackendCost(
-            "state-dependent",
-            sd_count,
-            success_probability("state-dependent", 0, 0) ** sd_count,
-            2 * sd_count,
-            reason is None,
-            reason,
-        ),
-        BackendCost(
-            "state-independent",
-            sum(si_counts),
-            si_prob,
-            sum(2 * k + 2 for k in si_counts),
-            True,
-        ),
+        BackendCost("state-dependent", sd_count, success_probability("state-dependent", 0, 0) ** sd_count,
+                    2 * sd_count, reason is None, reason),
+        # a crossing's ladder over k1 + k2 trigger levels takes 2(k1 + k2) + 2 ancillas
+        BackendCost("state-independent", si_count, si_prob, 2 * (si_count + sd_count), True),
     )
     return CostReport(rows, crossings)
 
@@ -346,7 +347,8 @@ def _scheme_crossing(reg: np.ndarray, deriv: TriggerDerivation, backend: str):
     x = x[live]
     model = BsmModel.linear_optics()
     if backend == "state-independent":
-        scale = np.linalg.norm(x, axis=(1, 2))
+        # per slice, over the real and imaginary parts, with no conjugate copy
+        scale = np.sqrt(np.einsum("wij,wij->w", x.real, x.real) + np.einsum("wij,wij->w", x.imag, x.imag))
         x /= scale[:, None, None]
         joint = PureState._fresh((d1, d2), x)
         runs = _run_state_independent(joint, deriv.first, deriv.second, "fast", model)
@@ -408,15 +410,13 @@ def simulate_compressed(
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; pick one of {BACKENDS}")
-    tags = classify_gates(circuit, layout)
-    if backend == "state-dependent":
-        later = [i for i, tag in enumerate(tags) if not tag.local][1:]
-        if later:
-            raise CompressionError(
-                f"gate {later[0]} follows an earlier two-group gate; "
-                "no router ancilla can be matched to its input"
-            )
-    crossings = dict(_crossings(circuit, layout, tags))
+    spans = [i for i, tag in enumerate(classify_gates(circuit, layout)) if not tag.local]
+    if backend == "state-dependent" and len(spans) > 1:
+        raise CompressionError(
+            f"gate {spans[1]} follows an earlier two-group gate; "
+            "no router ancilla can be matched to its input")
+    # a gate over three groups raises here
+    crossings = {i: trigger_sets(circuit.gates[i], layout) for i in spans}
     n, dims = circuit.qubit_count, layout.dims
     # each qubit's axis in the (words, 2, ..., 2) view, first-listed most significant
     axis = {q: i for i, q in enumerate(q for group in layout.groups for q in group)}
@@ -426,7 +426,7 @@ def simulate_compressed(
     codes = np.array(words)[:, order] @ (1 << shifts)
     # a chunk of `step` words holds step·2^n amplitudes, as many as all 2^n
     # words' widest per-word state
-    step = max([sum(dims)] + [d.first.dim * d.second.dim for d in crossings.values()])
+    step = max([sum(dims)] + [dims[d.groups[0]] * dims[d.groups[1]] for d in crossings.values()])
 
     # each qubit's bit in a level's index into the (words, 2^n) view
     bits = {q: 1 << (n - 1 - a) for q, a in axis.items()}
@@ -438,8 +438,8 @@ def simulate_compressed(
         reg = np.zeros((len(chunk), 2**n), dtype=complex)
         reg[np.arange(len(chunk)), chunk] = 1.0
         reg = reg.reshape((-1,) + dims)
-        for i, (gate, tag) in enumerate(zip(circuit.gates, tags)):
-            dense = tag.local or backend in ("uncompressed", "standard")
+        for i, gate in enumerate(circuit.gates):
+            dense = i not in crossings or backend in ("uncompressed", "standard")
             if gate.kind == "h":
                 reg = _hadamard(reg, n, axis[gate.operands[0]])
             elif dense and gate.is_x_kind:

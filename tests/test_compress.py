@@ -5,7 +5,9 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -171,6 +173,20 @@ class TestBundledAdder:
         assert cost_report(benchmark_circuit(), qfa_layout()).row("state-dependent").legal
 
 
+@contextmanager
+def trigger_sets_built():
+    """The TriggerSets constructed inside the block, in order."""
+    built = []
+    real = mcz.TriggerSet.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    with mock.patch.object(mcz.TriggerSet, "__post_init__", counted):
+        yield built
+
+
 def listed_triggers(gate: Gate, group: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     # every level of the group scanned for all operand bits set, and the
     # group's qubits that are not operands
@@ -184,8 +200,9 @@ def listed_triggers(gate: Gate, group: tuple[int, ...]) -> tuple[tuple[int, ...]
 
 @st.composite
 def two_group_crossings(draw):
-    """A sign gate over both groups of a two-group layout of 2-6 qubits."""
-    n = draw(st.integers(2, 6))
+    """A sign gate over both groups of a two-group layout of 2-11 qubits, so
+    either group may be 10 qubits wide."""
+    n = draw(st.integers(2, 11))
     order = draw(st.permutations(range(n)))
     cut = draw(st.integers(1, n - 1))
     layout = QuditLayout((tuple(order[:cut]), tuple(order[cut:])))
@@ -200,7 +217,12 @@ def two_group_crossings(draw):
 @given(two_group_crossings())
 def test_trigger_sets_match_every_level_scanned(case):
     gate, layout = case
-    derivation = trigger_sets(gate, layout)
+    # the levels are listed on the first read of each side, and only then
+    with trigger_sets_built() as built:
+        derivation = trigger_sets(gate, layout)
+        assert built == []
+        listed = [derivation.first, derivation.first, derivation.second, derivation.second]
+    assert built == [listed[0], listed[2]]
     (first, r1), (second, r2) = (listed_triggers(gate, g) for g in layout.groups)
     assert derivation.first.indices == first
     assert derivation.second.indices == second
@@ -217,6 +239,61 @@ def test_trigger_sets_match_every_level_scanned(case):
         assert report.row("state-independent").success_probability == (
             schemes.success_probability("state-independent", len(first), len(second))
         )
+
+
+@st.composite
+def grouped_circuits(draw):
+    """A layout of 2-4 groups of 2-4 qubits each and up to 50 gates over two
+    groups, with local Hadamards between them."""
+    sizes = draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
+    order = draw(st.permutations(range(sum(sizes))))
+    cuts = list(itertools.accumulate(sizes, initial=0))
+    layout = QuditLayout(tuple(tuple(order[a:b]) for a, b in zip(cuts, cuts[1:])))
+    gates = []
+    for _ in range(draw(st.integers(0, 50))):
+        if draw(st.booleans()):
+            gates.append(Gate("h", (draw(st.sampled_from(order)),)))
+        pair = draw(st.lists(st.sampled_from(layout.groups), min_size=2, max_size=2, unique=True))
+        kind = draw(st.sampled_from(["cz", "cx", "ccz", "ccx"]))
+        operands = [draw(st.sampled_from(g)) for g in pair]
+        if kind.startswith("cc"):
+            operands.append(draw(st.sampled_from([q for g in pair for q in g if q not in operands])))
+        gates.append(Gate(kind, tuple(draw(st.permutations(operands)))))
+    return CircuitIR(layout.qubit_count, tuple(gates)), layout
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(grouped_circuits())
+def test_mask_priced_rows_equal_rows_from_listed_sets(case):
+    circuit, layout = case
+    with trigger_sets_built() as built:
+        report = cost_report(circuit, layout)
+    assert built == []
+
+    # the reference lists every level of both registers per crossing and
+    # multiplies one exact probability per crossing
+    cx_equiv = {"h": 0, "cz": 1, "cx": 1, "ccz": 3, "ccx": 3}
+    unc = sum(cx_equiv[g.kind] for g in circuit.gates)
+    lists = [
+        [listed_triggers(gate, g)[0] for g in layout.groups if set(g) & set(gate.operands)]
+        for gate in circuit.gates if gate.kind != "h"
+    ]
+    std = sum(len(a) * len(b) for a, b in lists)
+    si = sum(len(a) + len(b) for a, b in lists)
+    sd_prob = si_prob = Fraction(1)
+    for a, b in lists:
+        sd_prob *= schemes.success_probability("state-dependent", len(a), len(b))
+        si_prob *= schemes.success_probability("state-independent", len(a), len(b))
+    want = [
+        ("uncompressed", unc, Fraction(1, 9) ** unc, 0, True),
+        ("standard", std, Fraction(1, 9) ** std, 0, True),
+        ("state-dependent", len(lists), sd_prob, 2 * len(lists), len(lists) <= 1),
+        ("state-independent", si, si_prob, sum(2 * (len(a) + len(b)) + 2 for a, b in lists), True),
+    ]
+    got = [(r.backend, r.gate_count, r.success_probability, r.ancilla_count, r.legal)
+           for r in report.rows]
+    assert got == want
+    assert [(d.first.indices, d.second.indices) for _, d in report.crossings] == [tuple(x) for x in lists]
 
 
 def three_crossing_circuit() -> tuple[CircuitIR, QuditLayout]:
@@ -381,7 +458,8 @@ class TestSimulation:
 
     def test_each_crossing_is_built_once(self, monkeypatch):
         # one derivation per crossing, not one per word; the crossing is a
-        # sign multiply, so no dense gate matrix is built at all
+        # sign multiply, so no dense gate matrix is built at all, and the
+        # dense backends read no trigger level, so none is listed
         calls = {"trigger_sets": 0, "multi_level_cz": 0}
         for module in (compress, schemes, mcz):
             for name in calls:
@@ -394,8 +472,11 @@ class TestSimulation:
                     return _real(*args)
 
                 monkeypatch.setattr(module, name, counted)
-        simulate_compressed(qfa_circuit(), qfa_layout(), "standard")
-        assert calls == {"trigger_sets": 2, "multi_level_cz": 0}
+        with trigger_sets_built() as built:
+            simulate_compressed(qfa_circuit(), qfa_layout(), "standard")
+            assert calls == {"trigger_sets": 2, "multi_level_cz": 0}
+            simulate_compressed(qfa_circuit(), qfa_layout(), "uncompressed")
+        assert built == []
 
     @pytest.mark.parametrize("backend", ["uncompressed", "standard"])
     def test_crossing_sign_multiply_equals_dense_gate(self, monkeypatch, backend):

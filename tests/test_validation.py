@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 from qompress.cli import main
-from qompress.compress import Gate, QuditLayout, cost_report, qfa_circuit, qfa_layout
+from qompress.compress import (
+    CircuitFormatError,
+    Gate,
+    QuditLayout,
+    cost_report,
+    parse_circuit,
+    qfa_circuit,
+    qfa_layout,
+)
 from qompress.mcz import (
     BsmModel,
     TriggerSet,
@@ -39,8 +47,15 @@ VALID_LAYOUT = {"groups": [[0], [1]]}
     ({"qubits": 2, "gates": [{"kind": "cx", "operands": 0}]}, VALID_LAYOUT,
      "gate 0: operands must be a list"),
     (VALID_CIRCUIT, {"groups": [0, 1]}, "'groups' must be a list of lists"),
-], ids=["gates-not-a-list", "operands-not-a-list", "groups-not-lists"])
+    # a gate with no fixed decomposition is refused before an earlier gate over three groups
+    ({"qubits": 3, "gates": [{"kind": "ccz", "operands": [0, 1, 2]}, {"kind": "mcx", "operands": [0, 1]}]},
+     {"groups": [[0], [1], [2]]}, "'mcx' has no fixed two-qubit decomposition"),
+], ids=["gates-not-a-list", "operands-not-a-list", "groups-not-lists", "mcx-before-three-groups"])
 def test_malformed_document_exits_2(capsys, tmp_path, circuit, layout, message):
+    assert_compress_exits_2(capsys, tmp_path, circuit, layout, message)
+
+
+def assert_compress_exits_2(capsys, tmp_path, circuit, layout, message):
     paths = [tmp_path / "c.json", tmp_path / "l.json"]
     for path, doc in zip(paths, (circuit, layout)):
         path.write_text(json.dumps(doc))
@@ -49,6 +64,25 @@ def test_malformed_document_exits_2(capsys, tmp_path, circuit, layout, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("operand, message", [
+    (True, "gate 0 operand must be an integer, got True"),
+    (1.0, "gate 0 operand must be an integer, got 1.0"),
+    ("0", "gate 0 operand must be an integer, got '0'"),
+    (None, "gate 0 operand must be an integer, got None"),
+    ([0], "gate 0 operand must be an integer, got [0]"),
+    (-1, "gate 0: negative operand in (-1, 1)"),
+    (2, "gate 0 addresses a qubit outside the register"),
+], ids=["true", "float", "string", "null", "list", "negative", "n"])
+def test_bad_operand_text(capsys, tmp_path, operand, message):
+    # each operand is type-checked once while parsing; the text is pinned
+    # both as raised and as the CLI prints it
+    circuit = {"qubits": 2, "gates": [{"kind": "cx", "operands": [operand, 1]}]}
+    with pytest.raises(CircuitFormatError) as raised:
+        parse_circuit(json.dumps(circuit))
+    assert str(raised.value) == message
+    assert_compress_exits_2(capsys, tmp_path, circuit, VALID_LAYOUT, message)
 
 
 def _unit(n: int) -> np.ndarray:
