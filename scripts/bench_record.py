@@ -13,10 +13,15 @@ commits unpacked into two directories). The script runs
   with the `standard` and `state-independent` backends, wall time and
   peak RSS, one process each;
 - `cost_report` on one `cx` across a w-qubit group and a 2-qubit group,
-  w = 14 to 20, wall time and peak RSS, one process each.
+  w = 14 to 20, wall time and peak RSS, one process each;
+- `qompress verify --trials 1` with both schemes at d1 = 2^10, 2^14, 2^17
+  and 2^20 and d2 = 2, wall time and peak RSS, one process each, under an
+  address-space limit (`--verify-limit-mb`, default 4000), so a side that
+  asks for more memory than that exits instead of exhausting the machine.
 
-A process that prints no result, say one killed for memory, keeps its
-exit code and stderr instead.
+A process that prints no result, say one killed for memory or a `verify`
+that exits 2 when an allocation fails, keeps its exit code and stderr
+instead.
 
 The output file is written afresh.
 
@@ -30,6 +35,7 @@ import argparse
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -58,6 +64,25 @@ cost_report(circuit, layout)
 print(json.dumps({"width": w, "wall_s": time.perf_counter() - t0,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
+
+VERIFY = """
+import contextlib, io, json, resource, sys, time
+from qompress.cli import main
+scheme, d1 = sys.argv[1], sys.argv[2]
+out = io.StringIO()
+t0 = time.perf_counter()
+with contextlib.redirect_stdout(out):
+    code = main(["verify", "--scheme", scheme, "--d1", d1, "--d2", "2", "--trials", "1",
+                 "--format", "json"])
+wall = time.perf_counter() - t0
+if code == 2:
+    sys.exit(code)  # the error line is on stderr; no result to print
+print(json.dumps({"scheme": scheme, "d1": int(d1), "exit": code,
+                  "passed": json.loads(out.getvalue())["passed"], "wall_s": wall,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+VERIFY_DIMS = (1 << 10, 1 << 14, 1 << 17, 1 << 20)
 
 
 def run(cmd: list[str], cwd: Path, **kw) -> subprocess.CompletedProcess:
@@ -94,14 +119,18 @@ def tier1(path: Path) -> dict:
     return {"wall_s": wall, "summary": lines[-1] if lines else "", "durations": durations}
 
 
-def script_runs(path: Path, script: str, arg_lists) -> list[dict]:
+def script_runs(path: Path, script: str, arg_lists, limit_mb: int | None = None) -> list[dict]:
     # a process that crashes or runs out of memory prints no result line; its
     # exit code and stderr are recorded in its place, so the runs already made
     # are kept
+    def cap():
+        limit = limit_mb << 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
     records = []
     for args in arg_lists:
         out = run([sys.executable, "-c", script, *map(str, args)], path,
-                  env={**os.environ, "PYTHONPATH": "src"})
+                  env={**os.environ, "PYTHONPATH": "src"}, preexec_fn=cap if limit_mb else None)
         records.append(json.loads(out.stdout) if out.stdout.startswith("{") else
                        {"args": list(args), "returncode": out.returncode, "stderr": out.stderr})
     return records
@@ -113,6 +142,8 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--pair", action="append", default=[], help="WORKLOAD:SEED:PAIRS")
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--verify-limit-mb", type=int, default=4000,
+                        help="address-space limit of each verify_scaling process")
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -125,6 +156,10 @@ def main(argv=None) -> int:
         for side, path in sides.items()}
     record["wide_cx_pricing"] = {side: script_runs(path, WIDE_PRICING, [(w,) for w in range(14, 21)])
                                  for side, path in sides.items()}
+    record["verify_scaling"] = {
+        side: script_runs(path, VERIFY, [(scheme, d1) for scheme in ("state-dependent", "state-independent")
+                                         for d1 in VERIFY_DIMS], args.verify_limit_mb)
+        for side, path in sides.items()}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

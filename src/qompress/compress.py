@@ -369,11 +369,12 @@ def _scheme_crossing(reg: np.ndarray, deriv: TriggerDerivation, backend: str):
         out = np.zeros((total, d1, d2), dtype=complex)
         done = 0
         # the scheme hands its words back a slice at a time; each is written
-        # into place before the next one runs, and only its output is kept
-        # while that one runs
+        # into place and dropped before the next one runs, since an output is
+        # a view that keeps every branch of its slice alive
         for amps in map(attrgetter("output.amps"), runs):
             out[live[done : done + len(amps)]] = amps * scale[done : done + len(amps), None, None]
             done += len(amps)
+            del amps
         return out.reshape(shape).transpose(np.argsort(perm))
 
     return place

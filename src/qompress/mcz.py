@@ -106,10 +106,13 @@ def trigger_pattern(state: PureState, triggers: TriggerSet) -> tuple[np.ndarray,
     if len(state.dims) != 1:
         raise ValueError("pattern is defined for a single register")
     beta = state.amps[..., list(triggers.indices)]
-    weight = np.sum(np.abs(beta) ** 2, axis=-1)
+    weight = (np.abs(beta) ** 2).sum(axis=-1)
     empty = weight == 0.0
-    pattern = beta / np.sqrt(np.where(empty, 1.0, weight))[..., None]
-    pattern[empty] = 1.0 / np.sqrt(len(triggers))
+    if empty.any():
+        pattern = beta / np.sqrt(np.where(empty, 1.0, weight))[..., None]
+        pattern[empty] = 1.0 / np.sqrt(len(triggers))
+    else:
+        pattern = beta / np.sqrt(weight)[..., None]
     return pattern, (weight if state.batch else float(weight))
 
 
@@ -194,38 +197,57 @@ def bell_measurement(state: PureState, model: BsmModel) -> list[BsmOutcome]:
     """
     if state.batch:
         raise ValueError(f"bell_measurement takes one state, got a batch {state.batch}")
-    return _bell_outcomes(state, model, _BELL_PAIRS)
-
-
-def _bell_outcomes(state: PureState, model: BsmModel, vectors: np.ndarray) -> list[BsmOutcome]:
-    """bell_measurement over a batch, projecting the pair on `vectors`, the
-    Bell vectors' (2, 2) arrays or their images under a gate folded in.
-    Every probability is an array with one entry per word, and a word whose
-    outcome is below 1e-14 gets a zero conditional state (an unbatched
-    state gets None)."""
     if len(state.dims) < 2 or state.dims[-2:] != (2, 2):
         raise ValueError(f"need a qubit pair at the end, got dims {state.dims}")
     front_dims = state.dims[:-2]
-    front_axes = tuple(range(-len(front_dims), 0))
-    per_word = (...,) + (None,) * len(front_dims)
-    outcomes = []
-    heralded_mass = 0.0
-    for label, vec in zip(BELL_LABELS, vectors):
-        if label not in model.heralds:
-            continue
-        front = np.tensordot(state.amps, vec.conj(), axes=([-2, -1], [0, 1]))
-        mass = np.abs(front)
-        mass *= mass
-        prob = np.sum(mass, axis=front_axes)
-        heralded_mass = heralded_mass + prob
-        kept = prob > 1e-14
-        conditional = None
-        if np.any(kept):
-            front /= np.sqrt(np.where(kept, prob, 1.0))[per_word]
-            front[~kept] = 0.0
-            conditional = PureState._fresh(front_dims, front)
-        outcomes.append(BsmOutcome(label, prob if state.batch else float(prob), conditional))
-    if model.heralds != _ALL_HERALDS:
-        fail = np.maximum(0.0, state.norm**2 - heralded_mass)
-        outcomes.append(BsmOutcome("fail", fail if state.batch else float(fail), None))
+    bras = _BELL_PAIRS[_heralded(model)].conj().reshape(-1, 4)
+    fronts = (bras @ state.amps.reshape(-1, 4).T).reshape((len(bras),) + front_dims)
+    outcomes, _ = _outcomes(fronts, len(front_dims), model, state.norm**2)
     return outcomes
+
+
+def _heralded(model: BsmModel) -> list[int]:
+    """The positions in BELL_LABELS of the labels the model heralds."""
+    return [i for i, label in enumerate(BELL_LABELS) if label in model.heralds]
+
+
+def _outcomes(
+    fronts: np.ndarray, ndims: int, model: BsmModel, total
+) -> tuple[list[BsmOutcome], np.ndarray]:
+    """The analyzer's outcomes from `fronts`, each heralded label's
+    unnormalized conditional state stacked in canonical order on the axis
+    before the last `ndims` ones. The fail row is `total`, the measured
+    register's squared norm, less the heralded mass.
+
+    One pass over the stack gives every probability, an array with one
+    entry per word from a batch, and normalizes `fronts` in place and
+    freezes it; each outcome's state is a view of it. A word whose outcome
+    is below 1e-14 gets a zero conditional state, and an outcome below it
+    in every word (or in the unbatched one) gets None. Also returns the
+    heralded mass, per word."""
+    mass = np.abs(fronts)
+    mass *= mass
+    probs = mass.sum(axis=tuple(range(-ndims, 0)))
+    del mass
+    kept = probs > 1e-14
+    per_word = (...,) + (None,) * ndims
+    if kept.all():
+        fronts /= np.sqrt(probs)[per_word]
+    else:
+        fronts /= np.sqrt(np.where(kept, probs, 1.0))[per_word]
+        fronts[~kept] = 0.0
+    fronts.setflags(write=False)
+    batched, dims = probs.ndim > 1, fronts.shape[fronts.ndim - ndims :]
+    live = kept.any(axis=tuple(range(kept.ndim - 1))).tolist()
+    outcomes = []
+    for i, label in enumerate(BELL_LABELS[j] for j in _heralded(model)):
+        prob = probs[..., i]
+        state = None
+        if live[i]:
+            state = PureState._fresh(dims, fronts[(..., i) + (slice(None),) * ndims])
+        outcomes.append(BsmOutcome(label, prob if batched else float(prob), state))
+    heralded = probs.sum(axis=-1)
+    if model.heralds != _ALL_HERALDS:
+        fail = np.maximum(0.0, total - heralded)
+        outcomes.append(BsmOutcome("fail", fail if batched else float(fail), None))
+    return outcomes, heralded

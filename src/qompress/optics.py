@@ -180,14 +180,23 @@ def postselect_coincidence(state: TwoPhotonState) -> tuple[PureState, float]:
 def _coincidence(state: TwoPhotonState):
     """postselect_coincidence over a batch: the kept mass is an array with
     one entry per word, and the lowest word below the cutoff is reported."""
-    n = state.coeff.shape[-1]
     s = state.split
-    block = 2.0 * state.coeff[..., :s, s:]
-    prob = np.sum(np.abs(block) ** 2, axis=(-2, -1))
-    low = np.flatnonzero(prob < _COINCIDENCE_CUTOFF)
-    if low.size:
-        raise ValueError(f"coincidence probability {prob.flat[low[0]]:.3e} below cutoff")
-    return PureState._fresh((s, n - s), block / np.sqrt(prob)[..., None, None]), prob
+    return _postselect(2.0 * state.coeff[..., :s, s:])
+
+
+def _postselect(block: np.ndarray) -> tuple[PureState, np.ndarray]:
+    """The coincidence register from its amplitude block (first-group
+    mode, second-group mode), renormalized in place, with the kept mass."""
+    mass = np.abs(block)
+    mass *= mass
+    prob = mass.sum(axis=(-2, -1))
+    del mass
+    low = prob < _COINCIDENCE_CUTOFF
+    if low.any():
+        first = np.flatnonzero(low)[0]
+        raise ValueError(f"coincidence probability {prob.flat[first]:.3e} below cutoff")
+    block /= np.sqrt(prob)[..., None, None]
+    return PureState._fresh(block.shape[-2:], block), prob
 
 
 def smr_abstract(x: int, y: int, triggers, d: int) -> PhotonConfig:
@@ -265,3 +274,19 @@ def route_with_ancilla(qudit: PureState, ancilla: PureState, triggers) -> TwoPho
     )
     v, w = v[..., image], w[..., image]
     return TwoPhotonState._trusted(_pair_coeff(v, w), d)
+
+
+def _routed_coincidence(qudit: np.ndarray, ancilla: np.ndarray, indices) -> np.ndarray:
+    """The coincidence block of route_with_ancilla's state, 2·M[:d, d:] of
+    its coefficient matrix M, formed alone: after the swap image each
+    photon's mode vector splits into its two port groups, v = (v_a, v_b)
+    and w = (w_a, w_b), and the block is v_a w_bᵀ + w_a v_bᵀ, d·(k+1)
+    amplitudes per word where M has (d+k+1)². Each entry sums the same
+    two products as M's, so the block is M's doubled up to underflow."""
+    d = qudit.shape[-1]
+    image = np.array(_swap_image(d, ancilla.shape[-1], [(c, i) for i, c in enumerate(indices)]))
+    v, w = _port_vectors(qudit, ancilla)
+    v, w = v[..., image], w[..., image]
+    block = v[..., :d, None] * w[..., None, d:]
+    block += w[..., :d, None] * v[..., None, d:]
+    return block

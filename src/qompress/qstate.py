@@ -89,7 +89,10 @@ class PureState:
     def norm(self) -> float | np.ndarray:
         """The norm, one per word for a batched state."""
         if not self.batch:
-            return float(np.linalg.norm(self.amps))
+            # np.linalg.norm's arithmetic, without its dispatch
+            flat = self.amps.ravel(order="K")
+            re, im = flat.real, flat.imag
+            return math.sqrt(re.dot(re) + im.dot(im))
         # per word, without the squared-modulus copy of the whole batch that
         # np.linalg.norm makes along an axis
         flat = self.amps.reshape(self.batch + (-1,))
@@ -192,18 +195,24 @@ def truncate_subsystem(state: PureState, sub: int, new_dim: int) -> PureState:
     batch = state.batch
     sl = [slice(None)] * (len(batch) + len(state.dims))
     sl[len(batch) + sub] = slice(new_dim, None)
-    mass = np.abs(state.amps[tuple(sl)])
-    mass *= mass
-    discarded = np.sqrt(np.sum(mass, axis=tuple(range(len(batch), mass.ndim))))
-    over = np.flatnonzero(discarded > _TRUNCATION_ATOL)
-    if over.size:
-        raise ValueError(
-            f"truncation would discard amplitude mass {discarded.flat[over[0]]:.3e}"
-        )
+    _check_discard(state.amps[tuple(sl)], len(batch))
     sl[len(batch) + sub] = slice(0, new_dim)
     dims = list(state.dims)
     dims[sub] = new_dim
     return PureState._fresh(tuple(dims), state.amps[tuple(sl)])
+
+
+def _check_discard(dropped: np.ndarray, nbatch: int):
+    """Refuse to drop `dropped`, the amplitudes behind its first `nbatch`
+    (word) axes, unless their norm is within _TRUNCATION_ATOL in every
+    word; the lowest word that breaks this is reported."""
+    mass = np.abs(dropped)
+    mass *= mass
+    discarded = np.sqrt(mass.sum(axis=tuple(range(nbatch, mass.ndim))))
+    over = discarded > _TRUNCATION_ATOL
+    if over.any():
+        first = np.flatnonzero(over)[0]
+        raise ValueError(f"truncation would discard amplitude mass {discarded.flat[first]:.3e}")
 
 
 def fidelity_up_to_phase(a: PureState, b: PureState) -> float:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -30,18 +31,18 @@ from .mcz import (
     _BELL_PAIRS,
     _as_trigger_set,
     _ancilla,
-    _bell_outcomes,
-    _signs,
+    _heralded,
+    _outcomes,
     multi_level_cz,
     trigger_pattern,
 )
-from .optics import _coincidence, route_with_ancilla
+from .optics import _postselect, _routed_coincidence
 from .qstate import (
     NORM_ATOL,
     PureState,
     Unitary,
+    _check_discard,
     hadamard,
-    truncate_subsystem,
 )
 
 SCHEMES = ("state-dependent", "state-independent")
@@ -53,18 +54,17 @@ PROBABILITY_ATOL = 1e-10
 # cost once per handful of words
 _SLICE_FLOOR = 1 << 16
 
-# herald label -> (flip signs on register 1, flip signs on register 2)
-_CORRECTIONS = {
-    "phi+": (False, False),
-    "phi-": (True, False),
-    "psi+": (False, True),
-    "psi-": (True, True),
-}
+# per Bell label, the sign correction over the two flags' (f1, f2) values:
+# phi+ fixes nothing, phi- flips register 1 on its trigger levels (f1 = 1),
+# psi+ register 2 (f2 = 1) and psi- both
+_CORRECTIONS = np.array(
+    [[[1, 1], [1, 1]], [[1, 1], [-1, -1]], [[1, -1], [1, -1]], [[1, -1], [-1, 1]]], dtype=float
+)
 
 # the fusion reads the second flag through a Hadamard: the analyzer projects
 # the flags on the Bell vectors' images under it, B·H, and no rotated copy of
-# the flagged register is made
-_FUSION = _BELL_PAIRS @ hadamard().entries
+# the flagged register is made; these are their bras, one (2, 2) per label
+_FUSION = (_BELL_PAIRS @ hadamard().entries).conj()
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,19 @@ class SchemeResult:
     ancilla_count: int
     nonlocal_gate_count: int
     branches: tuple[BranchOutcome, ...] = field(repr=False)
-    resource_state: PureState = field(repr=False)
+    # the flagged register's amplitudes, from the slice's input and flags
+    _flagged: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
     @property
     def success_probability_float(self) -> float:
         return float(self.success_probability)
+
+    @cached_property
+    def resource_state(self) -> PureState:
+        """The (d1, d2, 2, 2) flagged register the fusion measured, each
+        register beside its flag qubit, built on its first read."""
+        amps = self._flagged()
+        return PureState._fresh(amps.shape[-4:], amps)
 
 
 def success_probability(scheme: str, k1: int, k2: int, model: BsmModel | None = None) -> Fraction:
@@ -106,11 +114,12 @@ def success_probability(scheme: str, k1: int, k2: int, model: BsmModel | None = 
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _require_register(state: PureState, who: str):
-    if len(state.dims) != 1:
-        raise ValueError(f"{who} must be a single register, got dims {state.dims}")
-    if np.any(np.abs(state.norm - 1.0) > NORM_ATOL):
-        raise ValueError(f"{who} is not normalized")
+def _require_unit(state: PureState, message: str) -> float | np.ndarray:
+    """The state's norm, one per word, which must be 1 within NORM_ATOL."""
+    norm = state.norm
+    if np.any(np.abs(norm - 1.0) > NORM_ATOL) if state.batch else abs(norm - 1.0) > NORM_ATOL:
+        raise ValueError(message)
+    return norm
 
 
 def _one_input(*states: PureState):
@@ -121,14 +130,15 @@ def _one_input(*states: PureState):
 
 def _first_off(values, target: float) -> float | None:
     """The lowest word's value that is off its target, if any is."""
-    off = np.flatnonzero(np.abs(np.asarray(values) - target) > PROBABILITY_ATOL)
-    return float(np.ravel(values)[off[0]]) if off.size else None
+    off = np.abs(values - target) > PROBABILITY_ATOL
+    return float(np.ravel(values)[np.flatnonzero(off)[0]]) if off.any() else None
 
 
 def _by_slice(
-    run: Callable[..., SchemeResult], states: list[PureState], per_word: int
+    run: Callable[..., SchemeResult], states: list[PureState], per_word: int, *columns
 ) -> Iterator[SchemeResult]:
-    """Run the scheme on the words of `states` a slice at a time.
+    """Run the scheme on the words of `states` a slice at a time, each
+    beside its slice of the per-word `columns`.
 
     `per_word` is the scheme's working memory for one word, in amplitudes:
     every array a slice has live at once, the SchemeResult it yields
@@ -138,87 +148,112 @@ def _by_slice(
     Every check reports the lowest failing word of its slice.
     """
     if not states[0].batch:
-        yield run(*states)
+        yield run(*states, *columns)
         return
     words, d1d2 = states[0].batch[0], math.prod(s.dim for s in states)
     step = max(1, max(words * d1d2, _SLICE_FLOOR) // per_word)
     for lo in range(0, words, step):
-        yield run(*(PureState._fresh(s.dims, s.amps[lo : lo + step]) for s in states))
+        yield run(
+            *(PureState._fresh(s.dims, s.amps[lo : lo + step]) for s in states),
+            *(c[lo : lo + step] for c in columns),
+        )
 
 
-def _flips(t1: TriggerSet, t2: TriggerSet) -> tuple[np.ndarray, np.ndarray]:
-    """Each register's ±1 correction, laid out on the (d1, d2) register
-    axes; a core builds them once and every slice's feedforward reads them."""
-    return _signs(t1)[:, None], _signs(t2)
+def _bits(triggers: TriggerSet) -> np.ndarray:
+    """The register's flag value per level: 1 on its trigger levels."""
+    bits = np.zeros(triggers.dim, dtype=np.intp)
+    bits[list(triggers.indices)] = 1
+    return bits
 
 
-def _feedforward(
-    outcomes: list[BsmOutcome], flips: tuple[np.ndarray, np.ndarray]
-) -> tuple[BranchOutcome, ...]:
-    branches = []
-    for o in outcomes:
-        if o.label == "fail" or o.state is None:
-            continue
-        out = o.state
-        fixes = [signs for fix, signs in zip(_CORRECTIONS[o.label], flips) if fix]
-        if fixes:
-            out = PureState._fresh(out.dims, out.amps * math.prod(fixes))
-        branches.append(BranchOutcome(o.label, o.probability, out))
-    return tuple(branches)
+@dataclass
+class _Tail:
+    """The fusion tail's constants, built once per core call: each
+    register's flag bits, the heralded labels' bras over the flags
+    (h, 2, 2) and their sign corrections laid out on the registers
+    (h, d1, d2), the exact success and the share of it that is simulated,
+    and the counts."""
+
+    scheme: str
+    model: BsmModel
+    bits: tuple[np.ndarray, np.ndarray]
+    bras: np.ndarray
+    signs: np.ndarray
+    expected: Fraction
+    simulated: Fraction
+    target: float
+    ancillas: int
+    gates: int
+
+    @classmethod
+    def build(cls, scheme: str, t1: TriggerSet, t2: TriggerSet, model: BsmModel) -> "_Tail":
+        heralded = _heralded(model)
+        b1, b2 = _bits(t1), _bits(t2)
+        signs = _CORRECTIONS[heralded][:, b1[:, None], b2]
+        expected = success_probability(scheme, len(t1), len(t2), model)
+        simulated, ancillas, gates = expected, 2, 1
+        if scheme == "state-independent":
+            # the ladder's two-level gate successes (h/16)^(k1+k2) come from
+            # the formula, since no stage simulates them; a model that
+            # heralds nothing has nothing left to divide
+            k = len(t1) + len(t2)
+            from_formula = Fraction(len(heralded), 16) ** k
+            simulated = expected / from_formula if from_formula else expected
+            ancillas, gates = 2 * k + 2, k
+        return cls(scheme, model, (b1, b2), _FUSION[heralded], signs, expected, simulated,
+                   float(simulated), ancillas, gates)
 
 
 def _fuse_words(d1: int, d2: int, model: BsmModel) -> int:
-    """Amplitudes per word live at once in the fusion tail: the flagged
-    register (4·d1·d2) beside one conditional state per heralded outcome
-    and one corrected branch per outcome at most (d1·d2 each), plus the
-    word's probabilities and masks (8). While the analyzer runs, its
-    modulus buffer (half of d1·d2) stands where the branches will be."""
-    return (4 + 2 * len(model.heralds)) * d1 * d2 + 8
+    """Amplitudes per word live at once in the fusion tail: one conditional
+    state per heralded outcome and its corrected branch (d1·d2 each), plus
+    the word's probabilities and masks (8). While the analyzer runs, its
+    modulus buffer (half of h·d1·d2) stands where the branches will be."""
+    return 2 * len(model.heralds) * d1 * d2 + 8
 
 
 def _fuse(
-    scheme: str,
-    flagged: PureState,
-    mass,
-    t1: TriggerSet,
-    t2: TriggerSet,
-    flips: tuple[np.ndarray, np.ndarray],
-    model: BsmModel,
-    expected: Fraction,
+    tail: _Tail, fronts: np.ndarray, mass, total, flagged: Callable[[], np.ndarray]
 ) -> SchemeResult:
-    """The tail both schemes share: Bell-fuse the two flag qubits
-    (subsystems 2 and 3) of the (d1, d2, 2, 2) flagged register, correct
-    each heralded branch, and check the simulation against `expected`.
+    """The tail both schemes share: the Bell fusion of the two flag qubits
+    from `fronts` (..., h, d1, d2), each heralded outcome's unnormalized
+    conditional state, one stacked pass that normalizes and corrects them
+    all, and the check of the simulation against the exact success.
 
-    `mass` is the simulated probability kept before the fusion, per word.
-    Times the heralded mass it must equal `expected` over the factor no
-    stage simulates: 1 for the router scheme, and for the flag ladder its
-    two-level gate successes (h/16)^(k1+k2), taken from the formula.
+    `mass` is the simulated probability kept before the fusion, per word,
+    and `total` the flagged register's squared norm. Times the heralded
+    mass, `mass` must equal the tail's simulated share of the success.
     """
-    ladder = scheme == "state-independent"
-    k, h = len(t1) + len(t2), len(model.heralds)
-    from_formula = Fraction(h, 16) ** k if ladder else 1
-    # a model that heralds nothing has nothing left to divide
-    simulated = expected / from_formula if from_formula else expected
-    outcomes = _bell_outcomes(flagged, model, _FUSION)
-    heralded = sum(o.probability for o in outcomes if o.label != "fail")
-    off = _first_off(mass * heralded, float(simulated))
+    outcomes, heralded = _outcomes(fronts, 2, tail.model, total)
+    off = _first_off(mass * heralded, tail.target)
     if off is not None:
         raise ArithmeticError(
-            f"simulated success {off!r} deviates from {simulated} by more than "
+            f"simulated success {off!r} deviates from {tail.simulated} by more than "
             f"{PROBABILITY_ATOL}"
         )
-    branches = _feedforward(outcomes, flips)
-    return SchemeResult(
-        scheme=scheme,
-        output=branches[0].output if branches else None,
-        success_probability=expected,
-        bsm_outcomes=tuple(outcomes),
-        ancilla_count=2 * k + 2 if ladder else 2,
-        nonlocal_gate_count=k if ladder else 1,
-        branches=branches,
-        resource_state=flagged,
+    corrected = fronts * tail.signs
+    corrected.setflags(write=False)
+    branches = tuple(
+        BranchOutcome(o.label, o.probability, PureState._fresh(o.state.dims, corrected[..., i, :, :]))
+        for i, o in enumerate(outcomes[: len(tail.signs)])
+        if o.state is not None
     )
+    return SchemeResult(
+        scheme=tail.scheme,
+        output=branches[0].output if branches else None,
+        success_probability=tail.expected,
+        bsm_outcomes=tuple(outcomes),
+        ancilla_count=tail.ancillas,
+        nonlocal_gate_count=tail.gates,
+        branches=branches,
+        _flagged=flagged,
+    )
+
+
+def _flag_product(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """Two flagged registers (..., d, 2) as one C-ordered (d1, d2, f1, f2)
+    product."""
+    return g1[..., :, None, :, None] * g2[..., None, :, None, :]
 
 
 def run_state_dependent(
@@ -244,65 +279,69 @@ def _run_state_dependent(
     """The router scheme on a batch of product inputs: psi1 and psi2 carry
     one word per entry of their leading axis. Yields one SchemeResult per
     slice of words."""
-    _require_register(psi1, "psi1")
-    _require_register(psi2, "psi2")
+    for who, psi in (("psi1", psi1), ("psi2", psi2)):
+        if len(psi.dims) != 1:
+            raise ValueError(f"{who} must be a single register, got dims {psi.dims}")
+        _require_unit(psi, f"{who} is not normalized")
     t1 = _as_trigger_set(c1, psi1.dim)
     t2 = _as_trigger_set(c2, psi2.dim)
-    expected = success_probability("state-dependent", len(t1), len(t2), model)
-    flips = _flips(t1, t2)
+    tail = _Tail.build("state-dependent", t1, t2, model)
     d1, d2, k1, k2 = t1.dim, t2.dim, len(t1), len(t2)
-    # a router's n-mode two-photon matrix beside the product it is summed
-    # from and its photons' mode vectors, 2n(n+2), the second one beside
-    # the first register's flag, a view that keeps its (d1, k1+2) base
-    # alive; then the fusion tail, whose flagged register is the flags'
-    # C-ordered product, beside both flags. A flag's own stage, at most
-    # d(3k+4), stays below its router's 2n(n+2).
-    n1, n2 = d1 + k1 + 1, d2 + k2 + 1
+    # a router beside nothing, the second one beside the first register's
+    # flag, then the fusion tail beside both flags (2 per level each)
     per_word = max(
-        2 * n1 * (n1 + 2),
-        2 * n2 * (n2 + 2) + d1 * (k1 + 2),
-        _fuse_words(d1, d2, model) + d1 * (k1 + 2) + d2 * (k2 + 2),
+        _route_words(d1, k1),
+        _route_words(d2, k2) + 2 * d1,
+        _fuse_words(d1, d2, model) + 2 * (d1 + d2),
     )
 
     return _by_slice(
-        lambda psi1, psi2: _route_flag_fuse(psi1, psi2, t1, t2, flips, model, expected),
-        [psi1, psi2],
-        per_word,
+        lambda psi1, psi2: _route_flag_fuse(psi1, psi2, t1, t2, tail), [psi1, psi2], per_word
     )
 
 
+def _route_words(d: int, k: int) -> int:
+    """Amplitudes per word live at once while one register is routed and
+    flagged (tracemalloc): its (d, k+1) coincidence block, beside either
+    the photons' two mode vectors (d+k+1 each) and one product of them
+    while the block is formed, or the (d, k) residual, its modulus (half
+    of it) and the overlap (d) while the flag is checked; the pattern and
+    the ancilla (2k+1) throughout. Both stay within 5dk/2 + 4(d+k) + 3."""
+    return 5 * d * k // 2 + 4 * (d + k) + 3
+
+
 def _route_flag_fuse(
-    psi1: PureState,
-    psi2: PureState,
-    t1: TriggerSet,
-    t2: TriggerSet,
-    flips: tuple[np.ndarray, np.ndarray],
-    model: BsmModel,
-    expected: Fraction,
+    psi1: PureState, psi2: PureState, t1: TriggerSet, t2: TriggerSet, tail: _Tail
 ) -> SchemeResult:
     # each register meets its own router and flag; the two first meet at
-    # the fusion, as one C-ordered (d1, d2, f1, f2) product that the
-    # analyzer reads without a copy
+    # the fusion, where each outcome's conditional state is the flags'
+    # product projected on its bra, flag1 · bra · flag2ᵀ
     (flag1, kept1), (flag2, kept2) = _route_flag(psi1, t1), _route_flag(psi2, t2)
-    product = flag1.amps[..., :, None, :, None] * flag2.amps[..., None, :, None, :]
-    resource = PureState._fresh((t1.dim, t2.dim, 2, 2), product)
-    return _fuse("state-dependent", resource, kept1 * kept2, t1, t2, flips, model, expected)
+    g1, g2 = flag1.amps, flag2.amps
+    fronts = (g1[..., None, :, :] @ tail.bras) @ g2[..., None, :, :].swapaxes(-2, -1)
+    total = flag1.norm**2 * flag2.norm**2
+    return _fuse(tail, fronts, kept1 * kept2, total, lambda: _flag_product(g1, g2))
 
 
 def _route_flag(psi: PureState, triggers: TriggerSet) -> tuple[PureState, np.ndarray]:
     """One register through its ancilla, router, coincidence and flag, with
-    the coincidence mass it kept per word. The flag is the two surviving rows
-    of `ancilla_flag_unitary`, a view of the (d, k+2) array [pass rail, trigger
-    rails' overlap with the pattern, their residual off it]: the truncation
-    checks the residual, which is what the unitary's other rows would carry."""
+    the coincidence mass it kept per word. Only the router's (d, k+1)
+    coincidence block is formed. The flag is the two surviving rows of
+    `ancilla_flag_unitary`, the (d, 2) array [pass rail, trigger rails'
+    overlap with the pattern]; their residual off the pattern, which the
+    unitary's other rows would carry, is checked as a truncation."""
     pattern, _ = trigger_pattern(psi, triggers)
-    reg, kept = _coincidence(route_with_ancilla(psi, _ancilla(pattern), triggers))
+    block = _routed_coincidence(psi.amps, _ancilla(pattern).amps, triggers.indices)
+    reg, kept = _postselect(block)
     rails = reg.amps[..., :-1]
     overlap = rails @ pattern.conj()[..., :, None]
     # the residual itself: a difference of masses leaves ~1e-8 of amplitude
-    residual = rails - overlap * pattern[..., None, :]
-    flag = np.concatenate([reg.amps[..., -1:], overlap, residual], axis=-1)
-    return truncate_subsystem(PureState._fresh(flag.shape[-2:], flag), 1, 2), kept
+    residual = overlap * pattern[..., None, :]
+    np.subtract(rails, residual, out=residual)
+    _check_discard(residual, len(psi.batch))
+    del residual
+    flag = np.concatenate([reg.amps[..., -1:], overlap], axis=-1)
+    return PureState._fresh(flag.shape[-2:], flag), kept
 
 
 _VERIFIED: dict[tuple[int, int], Unitary] = {}
@@ -358,8 +397,7 @@ def _run_state_independent(
     words."""
     if len(joint.dims) != 2:
         raise ValueError(f"need a two-register state, got dims {joint.dims}")
-    if np.any(np.abs(joint.norm - 1.0) > NORM_ATOL):
-        raise ValueError("input is not normalized")
+    norm = _require_unit(joint, "input is not normalized")
     if mode not in ("fast", "faithful"):
         raise ValueError(f"unknown mode {mode!r}")
     d1, d2 = joint.dims
@@ -372,36 +410,30 @@ def _run_state_independent(
         for ts in (t1, t2):
             for s in ts:
                 verified_two_level_cz(ts.dim, s)
-    flips = _flips(t1, t2)
+    tail = _Tail.build("state-independent", t1, t2, model)
     # a flag's ladder, H·S·H on |0> with S its register's two-level gates of
     # signs s, leaves it ((1+s)|0> + (1-s)|1>)/2: exactly |1> on the trigger
-    # levels and |0> elsewhere. Both flags' states, laid out on the flagged
-    # register's axes (d1, d2, f1, f2), are 0 or 1
-    f1, f2 = (np.stack([1 + f, 1 - f], axis=-1) / 2 for f in flips)
-    marks = f1[..., None] * f2[:, None, :]
-    expected = success_probability("state-independent", len(t1), len(t2), model)
+    # levels and |0> elsewhere. So outcome b's conditional state is the input
+    # times bra_b at both flags' values, one (d1, d2) coefficient per label
+    b1, b2 = tail.bits
+    coeffs = tail.bras[:, b1[:, None], b2]
 
-    # the ladder holds the (d1, d2, 2, 2) register alone, less than the
-    # fusion tail
+    # the fusion tail alone: the ladder builds no register of its own
     return _by_slice(
-        lambda joint: _ladder_fuse(joint, t1, t2, marks, flips, model, expected),
+        lambda joint, total: _ladder_fuse(joint, total, coeffs, tail),
         [joint],
         _fuse_words(d1, d2, model),
+        norm**2,
     )
 
 
-def _ladder_fuse(
-    joint: PureState,
-    t1: TriggerSet,
-    t2: TriggerSet,
-    marks: np.ndarray,
-    flips: tuple[np.ndarray, np.ndarray],
-    model: BsmModel,
-    expected: Fraction,
-) -> SchemeResult:
-    # the ladder in closed form: each word beside both flags' states
-    reg = PureState._fresh(joint.dims + (2, 2), joint.amps[..., None, None] * marks)
+def _ladder_fuse(joint: PureState, total, coeffs: np.ndarray, tail: _Tail) -> SchemeResult:
+    x = joint.amps
+
+    def flagged() -> np.ndarray:
+        # each word beside both flags' 0/1 states
+        b1, b2 = tail.bits
+        return x[..., None, None] * _flag_product(np.eye(2)[b1], np.eye(2)[b2])
 
     # the ladder's sign gates keep the whole mass
-    return _fuse("state-independent", reg, 1.0, t1, t2, flips, model, expected)
-
+    return _fuse(tail, x[..., None, :, :] * coeffs, 1.0, total, flagged)

@@ -16,14 +16,19 @@ from qompress.mcz import (
     BsmOutcome,
     TriggerSet,
     _ancilla,
-    _bell_outcomes,
     ancilla_flag_unitary,
     bell_measurement,
     correction_unitary,
     multi_level_cz,
     trigger_pattern,
 )
-from qompress.optics import _coincidence, route_with_ancilla
+from qompress.optics import (
+    _coincidence,
+    _postselect,
+    _routed_coincidence,
+    postselect_coincidence,
+    route_with_ancilla,
+)
 from qompress.qstate import (
     PureState,
     apply,
@@ -34,8 +39,7 @@ from qompress.qstate import (
     truncate_subsystem,
 )
 from qompress.schemes import (
-    _feedforward,
-    _flips,
+    _Tail,
     _run_state_dependent,
     _run_state_independent,
     run_state_dependent,
@@ -99,6 +103,9 @@ class TestStateDependent:
         c1, c2 = (1, 3), (0,)
         psi1, psi2 = random_state((d1,), rng), random_state((d2,), rng)
         res = run_state_dependent(psi1, psi2, c1, c2, BsmModel.ideal())
+        # built on its first read, once
+        assert "resource_state" not in vars(res)
+        assert res.resource_state is res.resource_state
         expected = np.zeros((d1, d2, 2, 2), dtype=complex)
         for m in range(d1):
             for n in range(d2):
@@ -178,6 +185,55 @@ class TestRouterFlag:
         with pytest.raises(ValueError, match="truncation would discard amplitude mass") as exc:
             schemes._route_flag(psi, triggers)
         assert float(str(exc.value).rsplit(" ", 1)[1]) == pytest.approx(leak, rel=1e-3)
+
+
+class TestRoutedCoincidence:
+    """The router forms only its (d, k+1) coincidence block, from the two
+    photons' mode vectors: on batched words, some with no trigger weight,
+    it must be the dense router's post-selected block, and its memory must
+    grow with d, not d²."""
+
+    @pytest.mark.parametrize("d, k", [(2, 1), (4, 3), (8, 4), (16, 7)])
+    def test_block_matches_the_dense_router(self, d, k):
+        rng = np.random.default_rng(191 + d)
+        triggers = TriggerSet(tuple(rng.choice(d, size=k, replace=False)), d)
+        free = [m for m in range(d) if m not in triggers]
+        words = random_batch((10, d), rng)
+        # words with no weight on the triggers take the uniform pattern
+        for w in (2, 7):
+            words[w] = 0.0
+            words[w, free] = random_batch((len(free),), rng)
+        psi = PureState((d,), words / np.linalg.norm(words, axis=1, keepdims=True))
+        pattern, weight = trigger_pattern(psi, triggers)
+        assert np.count_nonzero(weight == 0.0) == 2
+        ancilla = _ancilla(pattern)
+        block = _routed_coincidence(psi.amps, ancilla.amps, triggers.indices)
+        assert block.shape == (10, d, k + 1)
+        want, want_kept = _coincidence(route_with_ancilla(psi, ancilla, triggers))
+        np.testing.assert_allclose(block, want.amps * np.sqrt(want_kept)[:, None, None], rtol=0, atol=1e-12)
+        got, got_kept = _postselect(block)
+        np.testing.assert_allclose(got.amps, want.amps, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_kept, want_kept, rtol=0, atol=1e-12)
+        # and word by word through the public single-state calls
+        for w in range(len(words)):
+            word = PureState((d,), psi.amps[w])
+            reg, kept = postselect_coincidence(route_with_ancilla(word, _ancilla(pattern[w]), triggers))
+            np.testing.assert_allclose(got.amps[w], reg.amps, rtol=0, atol=1e-12)
+            assert abs(got_kept[w] - kept) <= 1e-12
+
+    def test_a_large_register_routes_in_linear_memory(self):
+        # the dense two-photon matrix of this router alone would take
+        # (d1 + 3)² amplitudes, 69 GB; one word of the scheme stays within
+        # a few dozen amplitudes per level
+        rng = np.random.default_rng(197)
+        d1 = 1 << 16
+        psi1 = PureState((d1,), random_batch((d1,), rng))
+        psi1 = PureState((d1,), psi1.amps / psi1.norm)
+        psi2 = random_state((2,), rng)
+        model = BsmModel.linear_optics()
+        peak = TestSliceMemory.peak_above_input(
+            lambda: _run_state_dependent(psi1, psi2, (3, 7), (1,), model))
+        assert peak <= 32 * 16 * d1
 
 
 class TestStateIndependent:
@@ -403,16 +459,15 @@ class TestSignMultiplies:
         rng = np.random.default_rng(107)
         t1, t2 = TriggerSet((1, 3), 4), TriggerSet((0,), 3)
         state = PureState((4, 3), random_batch((16, 4, 3), rng))
-        outcomes = [BsmOutcome(label, np.full(16, 0.25), state) for label in BELL_LABELS]
-        branches = _feedforward(outcomes, _flips(t1, t2))
+        tail = _Tail.build("state-dependent", t1, t2, BsmModel.ideal())
         # phi- corrects register 1, psi+ register 2 and psi- both
         fixes = {"phi+": (), "phi-": (0,), "psi+": (1,), "psi-": (0, 1)}
-        assert [b.label for b in branches] == list(BELL_LABELS)
-        for branch in branches:
+        assert tail.signs.shape == (len(BELL_LABELS), 4, 3)
+        for label, signs in zip(BELL_LABELS, tail.signs):
             want = state
-            for sub in fixes[branch.label]:
+            for sub in fixes[label]:
                 want = apply(correction_unitary((t1, t2)[sub]).on(sub), want)
-            assert np.array_equal(branch.output.amps, want.amps), branch.label
+            assert np.array_equal(state.amps * signs, want.amps), label
 
     @pytest.mark.parametrize("mode", ["fast", "faithful"])
     def test_flag_ladder(self, monkeypatch, mode):
@@ -449,24 +504,34 @@ class TestSignMultiplies:
 
 class TestFusion:
     """Both schemes fuse the flags by a Bell measurement that reads the
-    second flag through a Hadamard, folded into the analyzer's vectors: the
-    outcomes must be the public analyzer's on the rotated register."""
+    second flag through a Hadamard, folded into the analyzer's bras, in one
+    stacked pass over every heralded outcome: the outcomes must be the
+    public analyzer's on the rotated resource register."""
+
+    TRIGGERS = {(2, 2): ((1,), (0,)), (4, 3): ((0, 2), (1, 2)), (8, 2): ((3, 7), (1,))}
 
     @MODELS
     @pytest.mark.parametrize("d1, d2", [(2, 2), (4, 3), (8, 2)])
     def test_folded_hadamard(self, model, d1, d2):
         rng = np.random.default_rng(181 + d1 * d2)
+        c1, c2 = self.TRIGGERS[d1, d2]
         for _ in range(4):
-            state = random_state((d1, d2, 2, 2), rng)
-            got = _bell_outcomes(state, model, schemes._FUSION)
-            want = bell_measurement(apply(hadamard().on(3), state), model)
-            assert [o.label for o in got] == [o.label for o in want]
-            for a, b in zip(got, want):
-                np.testing.assert_allclose(a.probability, b.probability, rtol=0, atol=1e-15)
-                assert (a.state is None) == (b.state is None)
-                if a.state is not None:
-                    assert a.state.dims == b.state.dims == (d1, d2)
-                    np.testing.assert_allclose(a.state.amps, b.state.amps, rtol=0, atol=1e-14)
+            psi1, psi2 = random_state((d1,), rng), random_state((d2,), rng)
+            for res in (run_state_dependent(psi1, psi2, c1, c2, model),
+                        run_state_independent_joint(random_state((d1, d2), rng), c1, c2, model=model)):
+                self.check(res, model, d1, d2)
+
+    @staticmethod
+    def check(res, model, d1, d2):
+        want = bell_measurement(apply(hadamard().on(3), res.resource_state), model)
+        got = res.bsm_outcomes
+        assert [o.label for o in got] == [o.label for o in want]
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a.probability, b.probability, rtol=0, atol=1e-15)
+            assert (a.state is None) == (b.state is None)
+            if a.state is not None:
+                assert a.state.dims == b.state.dims == (d1, d2)
+                np.testing.assert_allclose(a.state.amps, b.state.amps, rtol=0, atol=1e-14)
 
 
 class TestProbabilityCheck:
