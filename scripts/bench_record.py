@@ -15,9 +15,9 @@ commits unpacked into two directories). The script runs
 - `cost_report` on one `cx` across a w-qubit group and a 2-qubit group,
   w = 14 to 20, wall time and peak RSS, one process each;
 - `qompress verify --trials 1` with both schemes at d1 = 2^10, 2^14, 2^17
-  and 2^20 and d2 = 2, wall time and peak RSS, one process each, under an
-  address-space limit (`--verify-limit-mb`, default 4000), so a side that
-  asks for more memory than that exits instead of exhausting the machine.
+  and 2^20 and d2 = 2, wall time and peak RSS, one process each, under a
+  2000 MB address-space limit, so a side that asks for more memory than
+  that exits instead of exhausting the machine.
 
 A process that prints no result, say one killed for memory or a `verify`
 that exits 2 when an allocation fails, keeps its exit code and stderr
@@ -83,6 +83,9 @@ print(json.dumps({"scheme": scheme, "d1": int(d1), "exit": code,
 """
 
 VERIFY_DIMS = (1 << 10, 1 << 14, 1 << 17, 1 << 20)
+# the address-space limit of each verify_scaling process, the 2 GB of the
+# large-register CI step
+VERIFY_LIMIT_MB = 2000
 
 
 def run(cmd: list[str], cwd: Path, **kw) -> subprocess.CompletedProcess:
@@ -142,8 +145,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--pair", action="append", default=[], help="WORKLOAD:SEED:PAIRS")
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--verify-limit-mb", type=int, default=4000,
-                        help="address-space limit of each verify_scaling process")
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -158,7 +159,7 @@ def main(argv=None) -> int:
                                  for side, path in sides.items()}
     record["verify_scaling"] = {
         side: script_runs(path, VERIFY, [(scheme, d1) for scheme in ("state-dependent", "state-independent")
-                                         for d1 in VERIFY_DIMS], args.verify_limit_mb)
+                                         for d1 in VERIFY_DIMS], VERIFY_LIMIT_MB)
         for side, path in sides.items()}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0

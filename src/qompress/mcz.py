@@ -108,11 +108,8 @@ def trigger_pattern(state: PureState, triggers: TriggerSet) -> tuple[np.ndarray,
     beta = state.amps[..., list(triggers.indices)]
     weight = (np.abs(beta) ** 2).sum(axis=-1)
     empty = weight == 0.0
-    if empty.any():
-        pattern = beta / np.sqrt(np.where(empty, 1.0, weight))[..., None]
-        pattern[empty] = 1.0 / np.sqrt(len(triggers))
-    else:
-        pattern = beta / np.sqrt(weight)[..., None]
+    pattern = beta / np.sqrt(np.where(empty, 1.0, weight))[..., None]
+    pattern[empty] = 1.0 / np.sqrt(len(triggers))
     return pattern, (weight if state.batch else float(weight))
 
 
@@ -231,11 +228,8 @@ def _outcomes(
     del mass
     kept = probs > 1e-14
     per_word = (...,) + (None,) * ndims
-    if kept.all():
-        fronts /= np.sqrt(probs)[per_word]
-    else:
-        fronts /= np.sqrt(np.where(kept, probs, 1.0))[per_word]
-        fronts[~kept] = 0.0
+    fronts /= np.sqrt(np.where(kept, probs, 1.0))[per_word]
+    fronts[~kept] = 0.0
     fronts.setflags(write=False)
     batched, dims = probs.ndim > 1, fronts.shape[fronts.ndim - ndims :]
     live = kept.any(axis=tuple(range(kept.ndim - 1))).tolist()

@@ -89,10 +89,7 @@ class PureState:
     def norm(self) -> float | np.ndarray:
         """The norm, one per word for a batched state."""
         if not self.batch:
-            # np.linalg.norm's arithmetic, without its dispatch
-            flat = self.amps.ravel(order="K")
-            re, im = flat.real, flat.imag
-            return math.sqrt(re.dot(re) + im.dot(im))
+            return float(np.linalg.norm(self.amps))
         # per word, without the squared-modulus copy of the whole batch that
         # np.linalg.norm makes along an axis
         flat = self.amps.reshape(self.batch + (-1,))

@@ -469,6 +469,46 @@ class TestSignMultiplies:
                 want = apply(correction_unitary((t1, t2)[sub]).on(sub), want)
             assert np.array_equal(state.amps * signs, want.amps), label
 
+    @pytest.mark.parametrize("words", [None, 3])
+    @pytest.mark.parametrize("model", [BsmModel.ideal(), BsmModel.linear_optics()],
+                             ids=["ideal", "linear-optics"])
+    def test_fuse_branches(self, model, words):
+        # the second heralded label is below the cutoff in every word, and
+        # in a batch the first one is below it in word 0 alone: the second
+        # gets no branch, the first a zero output in that word
+        rng = np.random.default_rng(109)
+        t1, t2 = TriggerSet((1, 3), 4), TriggerSet((0,), 3)
+        tail = _Tail.build("state-dependent", t1, t2, model)
+        labels = [label for label in BELL_LABELS if label in model.heralds]
+        batch = () if words is None else (words,)
+        fronts = random_batch(batch + (len(labels), 4, 3), rng)
+        fronts[..., 1, :, :] *= 1e-9
+        if words:
+            fronts[0, 0] = 0.0
+        raw = fronts.copy()
+        probs = (np.abs(raw) ** 2).sum(axis=(-2, -1))
+        heralded = probs.sum(axis=-1)
+        total = heralded + (0.0 if len(labels) == 4 else 0.5)
+        res = schemes._fuse(tail, fronts, tail.target / heralded, total, lambda: None)
+        assert [o.label for o in res.bsm_outcomes] == labels + ["fail"] * (len(labels) < 4)
+        assert res.bsm_outcomes[1].state is None
+        assert [b.label for b in res.branches] == labels[:1] + labels[2:]
+        assert res.output is res.branches[0].output
+        fixes = {"phi+": (), "phi-": (0,), "psi+": (1,), "psi-": (0, 1)}
+        for branch in res.branches:
+            i = labels.index(branch.label)
+            np.testing.assert_allclose(branch.probability, probs[..., i], rtol=1e-12)
+            norm = np.sqrt(probs[..., i])
+            want = PureState((4, 3), raw[..., i, :, :] / np.where(norm > 0, norm, 1.0)[..., None, None])
+            for sub in fixes[branch.label]:
+                want = apply(correction_unitary((t1, t2)[sub]).on(sub), want)
+            np.testing.assert_allclose(branch.output.amps, want.amps, rtol=0, atol=1e-15)
+        if words:
+            assert not res.branches[0].output.amps[0].any()
+        if len(labels) < 4:
+            np.testing.assert_allclose(res.bsm_outcomes[-1].probability, total - heralded,
+                                       rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("mode", ["fast", "faithful"])
     def test_flag_ladder(self, monkeypatch, mode):
         d1, d2, c1, c2 = 4, 3, (0, 2, 3), (1,)
