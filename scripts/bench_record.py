@@ -17,7 +17,14 @@ commits unpacked into two directories). The script runs
 - `qompress verify --trials 1` with both schemes at d1 = 2^10, 2^14, 2^17
   and 2^20 and d2 = 2, wall time and peak RSS, one process each, under a
   2000 MB address-space limit, so a side that asks for more memory than
-  that exits instead of exhausting the machine.
+  that exits instead of exhausting the machine;
+- the `startup` series: each of the four `cli` workload argvs (seed 31) in
+  one `python -X importtime` process, with its exit code, wall time and the
+  cumulative import microseconds of `numpy` (0 when it was not imported)
+  and of `qompress` (every top-level import of the package or one of its
+  modules, numpy included where one of them pulled it in), beside the
+  side's `sys.flags.dont_write_bytecode`: with it set, no process reuses
+  compiled bytecode and every one pays for compiling the package.
 
 A process that prints no result, say one killed for memory or a `verify`
 that exits 2 when an allocation fails, keeps its exit code and stderr
@@ -82,6 +89,17 @@ print(json.dumps({"scheme": scheme, "d1": int(d1), "exit": code,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
+CLI_ARGVS = """
+import json, sys
+sys.path.insert(0, "perfbench")
+import gen
+print(json.dumps(gen.cli_argvs(31)))
+"""
+
+# one `-X importtime` stderr line: self and cumulative microseconds, then
+# the module name indented two spaces per level of nesting
+IMPORT_TIME = re.compile(r"^import time:\s+\d+ \|\s+(\d+) \| ( *)(\S+)$", re.MULTILINE)
+
 VERIFY_DIMS = (1 << 10, 1 << 14, 1 << 17, 1 << 20)
 # the address-space limit of each verify_scaling process, the 2 GB of the
 # large-register CI step
@@ -139,6 +157,26 @@ def script_runs(path: Path, script: str, arg_lists, limit_mb: int | None = None)
     return records
 
 
+def startup(path: Path) -> dict:
+    env = {**os.environ, "PYTHONPATH": "src"}
+    flag = run([sys.executable, "-c", "import sys; print(sys.flags.dont_write_bytecode)"], path,
+               env=env)
+    records = []
+    for name, argv in json.loads(run([sys.executable, "-c", CLI_ARGVS], path, env=env).stdout):
+        t0 = time.perf_counter()
+        out = run([sys.executable, "-X", "importtime", *argv], path, env=env)
+        wall = time.perf_counter() - t0
+        numpy_us = qompress_us = 0
+        for cumulative, indent, module in IMPORT_TIME.findall(out.stderr):
+            if module == "numpy":
+                numpy_us = int(cumulative)
+            elif not indent and module.split(".")[0] == "qompress":
+                qompress_us += int(cumulative)
+        records.append({"command": name, "exit": out.returncode, "wall_s": wall,
+                        "numpy_us": numpy_us, "qompress_us": qompress_us})
+    return {"dont_write_bytecode": int(flag.stdout), "runs": records}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
@@ -161,6 +199,7 @@ def main(argv=None) -> int:
         side: script_runs(path, VERIFY, [(scheme, d1) for scheme in ("state-dependent", "state-independent")
                                          for d1 in VERIFY_DIMS], VERIFY_LIMIT_MB)
         for side, path in sides.items()}
+    record["startup"] = {side: startup(path) for side, path in sides.items()}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -17,8 +17,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .compress import (
     CircuitFormatError,
     CircuitIR,
@@ -31,17 +29,10 @@ from .compress import (
     simulate_compressed,
     trigger_sets,
 )
-from .mcz import BsmModel, TriggerSet, _signs, multi_level_cz
-from .optics import ModeUnitary, TwoPhotonState, evolve_two_photon, postselect_coincidence, route_with_ancilla
-from .mcz import prepare_ancillas
-from .qstate import PureState, apply, fidelity_up_to_phase, random_state, tensor
-from .schemes import (
-    SCHEMES,
-    run_state_dependent,
-    run_state_independent_joint,
-    success_probability,
-    verified_two_level_cz,
-)
+from .exact import SCHEMES, BsmModel, TriggerSet, success_probability
+
+# `compress` runs on the exact layer alone; `verify` and `reproduce` import
+# numpy and the amplitude modules when they run
 
 DEFAULT_SEED = 0
 
@@ -128,10 +119,6 @@ def _emit(payload: dict, lines: list[str], fmt: str):
             print(line)
 
 
-def _random_product_input(d1: int, d2: int, rng: np.random.Generator) -> tuple[PureState, PureState]:
-    return random_state((d1,), rng), random_state((d2,), rng)
-
-
 def _model_from_flag(name: str) -> BsmModel:
     return BsmModel.ideal() if name == "ideal" else BsmModel.linear_optics()
 
@@ -152,6 +139,18 @@ def cmd_verify(args) -> int:
     except ValueError as e:
         raise UsageError(str(e)) from None
     model = _model_from_flag(args.model)
+    # the register's complex amplitudes must fit an array's address range,
+    # or numpy refuses the shape before it tries to allocate
+    if 16 * args.d1 * args.d2 > sys.maxsize:
+        raise UsageError(
+            f"a {args.d1}x{args.d2} register needs more bytes than an array can address")
+
+    import numpy as np
+
+    from .mcz import _signs
+    from .qstate import PureState, fidelity_up_to_phase, random_state, tensor
+    from .schemes import run_state_dependent, run_state_independent_joint
+
     signs = _signs(t1, t2)
 
     rng = np.random.default_rng(seed)
@@ -159,7 +158,7 @@ def cmd_verify(args) -> int:
     tally: dict[str, int] = {}
     result = None
     for _ in range(trials):
-        psi1, psi2 = _random_product_input(args.d1, args.d2, rng)
+        psi1, psi2 = random_state((args.d1,), rng), random_state((args.d2,), rng)
         joint = tensor(psi1, psi2)
         if args.scheme == "state-dependent":
             result = run_state_dependent(psi1, psi2, t1, t2, model)
@@ -288,6 +287,19 @@ def run_claims(seed: int, heralds: frozenset[str] | None = None) -> list[Claim]:
     `heralds` overrides the passive analyzer's herald set; it exists so a
     deliberately wrong analyzer makes the probability claims fail.
     """
+    import numpy as np
+
+    from .mcz import multi_level_cz, prepare_ancillas
+    from .optics import (
+        ModeUnitary,
+        TwoPhotonState,
+        evolve_two_photon,
+        postselect_coincidence,
+        route_with_ancilla,
+    )
+    from .qstate import apply, fidelity_up_to_phase, random_state, tensor
+    from .schemes import run_state_dependent, run_state_independent_joint, verified_two_level_cz
+
     rng = np.random.default_rng(seed)
     model_lo = BsmModel.linear_optics(heralds=heralds)
     claims: list[Claim] = []

@@ -5,6 +5,10 @@ register with its first-listed qubit as the most significant bit. Gates
 that stay inside a group are free local operations. A gate spanning two
 groups is one multi-level sign gate between the group registers, and the
 four cost rows price the ways of running it.
+
+Parsing and pricing are exact and load no numpy; only the simulation
+(`simulate_compressed`) imports numpy and the amplitude modules, when it
+runs.
 """
 
 from __future__ import annotations
@@ -18,11 +22,7 @@ from fractions import Fraction
 from importlib import resources
 from operator import attrgetter
 
-import numpy as np
-
-from .mcz import BsmModel, TriggerSet
-from .qstate import PureState, _hadamard_axis
-from .schemes import _run_state_dependent, _run_state_independent, success_probability
+from .exact import BsmModel, TriggerSet, success_probability
 
 BACKENDS = ("uncompressed", "standard", "state-dependent", "state-independent")
 
@@ -323,12 +323,14 @@ def cost_report(circuit: CircuitIR, layout: QuditLayout) -> CostReport:
     return CostReport(rows, crossings)
 
 
-def _hadamard(reg: np.ndarray, n: int, axis: int) -> np.ndarray:
+def _hadamard(reg, n: int, axis: int):
     """Hadamard on one qubit axis of the (words, 2, ..., 2) view of an n-qubit register."""
+    from .qstate import _hadamard_axis
+
     return _hadamard_axis(reg.reshape((-1,) + (2,) * n), 1 + axis).reshape(reg.shape)
 
 
-def _scheme_crossing(reg: np.ndarray, deriv: TriggerDerivation, backend: str):
+def _scheme_crossing(reg, deriv: TriggerDerivation, backend: str):
     """Set up one crossing's scheme on a (words, d_1, ..., d_k) register.
 
     The other groups' axes fold into the word axis, so each (word,
@@ -338,6 +340,11 @@ def _scheme_crossing(reg: np.ndarray, deriv: TriggerDerivation, backend: str):
     streams its output into the next register. The scheme holds its own
     copy of the slices, so the caller can drop `reg` first.
     """
+    import numpy as np
+
+    from .qstate import PureState
+    from .schemes import _run_state_dependent, _run_state_independent
+
     g1, g2 = deriv.groups
     d1, d2 = deriv.first.dim, deriv.second.dim
     perm = [0] + [1 + g for g in range(reg.ndim - 1) if g not in (g1, g2)] + [1 + g1, 1 + g2]
@@ -365,7 +372,7 @@ def _scheme_crossing(reg: np.ndarray, deriv: TriggerDerivation, backend: str):
             PureState._fresh((d1,), a), PureState._fresh((d2,), b), deriv.first, deriv.second, model
         )
 
-    def place() -> np.ndarray:
+    def place():
         out = np.zeros((total, d1, d2), dtype=complex)
         done = 0
         # the scheme hands its words back a slice at a time; each is written
@@ -409,6 +416,8 @@ def simulate_compressed(
     has run every gate, a word that does not end on a computational basis
     word raises CompressionError.
     """
+    import numpy as np
+
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; pick one of {BACKENDS}")
     spans = [i for i, tag in enumerate(classify_gates(circuit, layout)) if not tag.local]

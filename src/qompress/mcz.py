@@ -4,16 +4,11 @@ analyzer used to fuse two routed registers."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
+from .exact import BELL_LABELS, BsmModel, TriggerSet, _ALL_HERALDS, _as_trigger_set
 from .qstate import PureState, Unitary
-
-BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
-
-# an ideal analyzer heralds every Bell outcome
-_ALL_HERALDS = frozenset(BELL_LABELS)
 
 # the Bell vectors over the qubit pair, one (2, 2) array per label in
 # BELL_LABELS order
@@ -26,45 +21,6 @@ def bell_vector(label: str) -> np.ndarray:
     if label not in BELL_LABELS:
         raise ValueError(f"unknown Bell label {label!r}")
     return _BELL_PAIRS[BELL_LABELS.index(label)].flatten()
-
-
-@dataclass(frozen=True)
-class TriggerSet:
-    """The control levels of one register; at least one level stays free."""
-
-    indices: tuple[int, ...]
-    dim: int
-
-    def __post_init__(self):
-        indices = tuple(sorted(int(i) for i in self.indices))
-        dim = int(self.dim)
-        if len(set(indices)) != len(indices):
-            raise ValueError(f"repeated trigger level in {self.indices}")
-        if not indices:
-            raise ValueError("trigger set cannot be empty")
-        if len(indices) >= dim:
-            raise ValueError(f"{len(indices)} triggers leave no free level in dim {dim}")
-        if indices[0] < 0 or indices[-1] >= dim:
-            raise ValueError(f"trigger {indices} out of range for dim {dim}")
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "dim", dim)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices)
-
-    def __contains__(self, level: object) -> bool:
-        return level in self.indices
-
-
-def _as_trigger_set(triggers, dim: int) -> TriggerSet:
-    if isinstance(triggers, TriggerSet):
-        if triggers.dim != dim:
-            raise ValueError(f"trigger set dim {triggers.dim} does not match {dim}")
-        return triggers
-    return TriggerSet(tuple(triggers), dim)
 
 
 def _signs(*triggers: TriggerSet) -> np.ndarray:
@@ -151,28 +107,6 @@ def ancilla_flag_unitary(pattern: np.ndarray) -> Unitary:
     mat[..., 1, :k] = pattern.conj()
     mat[..., 2:, :k] = reflection[..., 1:, :]
     return Unitary._trusted(mat)
-
-
-@dataclass(frozen=True)
-class BsmModel:
-    """Which Bell outcomes the analyzer can herald."""
-
-    heralds: frozenset[str]
-
-    def __post_init__(self):
-        bad = set(self.heralds) - set(BELL_LABELS)
-        if bad:
-            raise ValueError(f"unknown herald labels {sorted(bad)}")
-        object.__setattr__(self, "heralds", frozenset(self.heralds))
-
-    @classmethod
-    def ideal(cls) -> "BsmModel":
-        return cls(_ALL_HERALDS)
-
-    @classmethod
-    def linear_optics(cls, heralds: frozenset[str] | None = None) -> "BsmModel":
-        # a passive analyzer only resolves the antisymmetric pair
-        return cls(frozenset({"psi+", "psi-"}) if heralds is None else heralds)
 
 
 @dataclass(frozen=True)

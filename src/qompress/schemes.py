@@ -23,13 +23,11 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .exact import SCHEMES as SCHEMES  # re-exported: qompress.schemes.SCHEMES
+from .exact import BELL_LABELS, BsmModel, TriggerSet, _as_trigger_set, success_probability
 from .mcz import (
-    BELL_LABELS,
-    BsmModel,
     BsmOutcome,
-    TriggerSet,
     _BELL_PAIRS,
-    _as_trigger_set,
     _ancilla,
     _heralded,
     _outcomes,
@@ -44,8 +42,6 @@ from .qstate import (
     _check_discard,
     hadamard,
 )
-
-SCHEMES = ("state-dependent", "state-independent")
 
 PROBABILITY_ATOL = 1e-10
 
@@ -99,19 +95,6 @@ class SchemeResult:
         register beside its flag qubit, built on its first read."""
         amps = self._flagged()
         return PureState._fresh(amps.shape[-4:], amps)
-
-
-def success_probability(scheme: str, k1: int, k2: int, model: BsmModel | None = None) -> Fraction:
-    """Exact heralded success probability for the given trigger counts."""
-    model = model or BsmModel.linear_optics()
-    h = len(model.heralds)
-    if scheme == "state-dependent":
-        # two router postselections at 1/2 each, then h of 4 fusion branches
-        return Fraction(h, 16)
-    if scheme == "state-independent":
-        # one fused two-level gate per trigger level, then the final fusion
-        return Fraction(h, 4) * Fraction(h, 16) ** (k1 + k2)
-    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def _require_unit(state: PureState, message: str) -> float | np.ndarray:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qompress import cli
+from qompress import cli, schemes
 from qompress.cli import _sci_text, main, run_claims
 from qompress.compress import cost_report, parse_circuit, parse_layout
 
@@ -130,24 +130,38 @@ class TestVerify:
         assert "PASS" in capsys.readouterr().out
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("stage, argv", [
-        ("run_state_independent_joint", ["verify", "--scheme", "state-independent"]),
-        ("cost_report", ["compress"]),
+    @pytest.mark.parametrize("module, stage, argv", [
+        # verify imports the scheme from its home module when it runs
+        (schemes, "run_state_independent_joint", ["verify", "--scheme", "state-independent"]),
+        (cli, "cost_report", ["compress"]),
     ], ids=["verify", "compress"])
     @pytest.mark.parametrize("message, shown", [
         ("Unable to allocate 14.6 TiB for an array", "Unable to allocate 14.6 TiB for an array"),
         ("", "out of memory"),
     ], ids=["numpy", "bare"])
-    def test_memory_error_is_usage_error(self, capsys, monkeypatch, stage, argv, message, shown):
+    def test_memory_error_is_usage_error(
+        self, capsys, monkeypatch, module, stage, argv, message, shown
+    ):
         # stands in for a register too large to allocate, without allocating it
         def exhausted(*args, **kwargs):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, stage, exhausted)
+        monkeypatch.setattr(module, stage, exhausted)
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
         assert err == f"error: {shown}\n"
+
+    @pytest.mark.parametrize("dims", [
+        ["--d1", "99999999999999999999"],  # past numpy's largest dimension
+        ["--d1", "4611686018427387904", "--d2", "4"],  # 2^64 amplitudes
+    ], ids=["dimension", "size"])
+    def test_register_past_the_address_range_is_usage_error(self, capsys, dims):
+        # refused before anything is allocated, with one error line
+        code, out, err = run(capsys, ["verify", *dims])
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(r"error: a \d+x\d+ register needs more bytes than an array can address\n", err)
 
 
 class TestCompress:

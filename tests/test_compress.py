@@ -609,11 +609,12 @@ class TestSimulation:
         # one scheme call per crossing with every input word as its batch
         batches = []
 
-        def counted(*args, _real=getattr(compress, core)):
+        def counted(*args, _real=getattr(schemes, core)):
             batches.append(args[0].batch)
             return _real(*args)
 
-        monkeypatch.setattr(compress, core, counted)
+        # the crossing imports the core from its home module when it runs
+        monkeypatch.setattr(schemes, core, counted)
         table = simulate_compressed(circuit(), qfa_layout(), backend)
         assert batches == [(16,)] * crossings
         assert table == simulate_compressed(circuit(), qfa_layout(), "standard")
