@@ -158,6 +158,7 @@ def script_runs(path: Path, script: str, arg_lists, limit_mb: int | None = None)
 
 
 def startup(path: Path) -> dict:
+    """One side's `startup` series (see the module docstring)."""
     env = {**os.environ, "PYTHONPATH": "src"}
     flag = run([sys.executable, "-c", "import sys; print(sys.flags.dont_write_bytecode)"], path,
                env=env)

@@ -63,7 +63,7 @@ def fresh_python(code: str) -> str:
 def test_import_and_pricing_load_no_numpy():
     # numpy set to None in sys.modules makes any import of it raise
     out = fresh_python("""
-        import contextlib, io, runpy, sys
+        import contextlib, runpy, sys
         sys.modules["numpy"] = None
         import qompress
         from qompress import cost_report, qfa_circuit, qfa_layout
