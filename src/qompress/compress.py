@@ -323,11 +323,35 @@ def cost_report(circuit: CircuitIR, layout: QuditLayout) -> CostReport:
     return CostReport(rows, crossings)
 
 
+def _gate(reg, n: int, axes, kind: str):
+    """Run one gate in place on a C-contiguous n-qubit register, and return it:
+    on the block of its (words, 2, ..., 2) view where all `axes` but the last
+    are 1, `h` maps the last axis's halves (lo, hi) to (lo + hi, lo − hi)·H,
+    `x` swaps them and `z` negates hi. No view outlives the call."""
+    view = reg.reshape((-1,) + (2,) * n)  # a view, since the register is C-contiguous
+    block = [1 if a in axes else slice(None) for a in range(n)]
+    hi = view[(..., *block)]
+    block[axes[-1]] = 0
+    lo = view[(..., *block)]
+    if kind == "x":
+        lo[...], hi[...] = hi, lo.copy()
+    elif kind == "z":
+        hi *= -1
+    else:
+        import numpy as np
+
+        from .qstate import _H
+
+        total = lo + hi
+        np.subtract(lo, hi, out=hi)
+        lo[...] = total
+        reg *= _H  # an h has no controls: its block is the whole register
+    return reg
+
+
 def _hadamard(reg, n: int, axis: int):
     """Hadamard on one qubit axis of the (words, 2, ..., 2) view of an n-qubit register."""
-    from .qstate import _hadamard_axis
-
-    return _hadamard_axis(reg.reshape((-1,) + (2,) * n), 1 + axis).reshape(reg.shape)
+    return _gate(reg, n, (axis,), "h")
 
 
 def _scheme_crossing(reg, deriv: TriggerDerivation, backend: str):
@@ -382,7 +406,8 @@ def _scheme_crossing(reg, deriv: TriggerDerivation, backend: str):
             out[live[done : done + len(amps)]] = amps * scale[done : done + len(amps), None, None]
             done += len(amps)
             del amps
-        return out.reshape(shape).transpose(np.argsort(perm))
+        # C-ordered for the in-place gates: no copy if g1, g2 are the last axes
+        return np.ascontiguousarray(out.reshape(shape).transpose(np.argsort(perm)))
 
     return place
 
@@ -397,16 +422,16 @@ def simulate_compressed(
     refuses circuits whose gate order makes its ancillas unpreparable.
 
     The words run together, one gate at a time, on one dense register of
-    shape (words, d_1, ..., d_k), one axis per group in layout order, so
-    the groups may entangle. A dense gate, meaning a local gate on any
-    backend and every gate on `uncompressed` and `standard`, is exact
-    index work on a new register: a z-kind negates the levels where all its
-    operands are set, and an x-kind, whose Hadamard sandwich H·S·H is the
-    multi-controlled flip, is a permutation of the levels, one gather. Only
-    a scheme crossing keeps the sandwich, since the scheme realizes the
-    diagonal core; the scheme backends run it once per crossing and word
-    chunk. A chunk holds as many amplitudes as all words' widest
-    per-word state (the group registers side by side, or a crossing's
+    shape (words, d_1, ..., d_k), one axis per group in layout order, so the
+    groups may entangle. Every `h`, and every dense gate (a local gate on
+    any backend, every gate on `uncompressed` and `standard`), runs in place
+    on the register's qubit view: a z-kind negates the block where all its
+    operands are 1, and an x-kind, whose Hadamard sandwich H·S·H is the
+    multi-controlled flip, swaps its target's halves of the block where its
+    controls are 1. Only a scheme crossing keeps the sandwich, since the
+    scheme realizes the diagonal core; the scheme backends run it once per
+    crossing and word chunk. A chunk holds as many amplitudes as all words'
+    widest per-word state (the group registers side by side, or a crossing's
     d1·d2 product), so two groups with a crossing run in one chunk while
     more groups, whose register grows as 4^n, run in several.
 
@@ -438,31 +463,16 @@ def simulate_compressed(
     # words' widest per-word state
     step = max([sum(dims)] + [dims[d.groups[0]] * dims[d.groups[1]] for d in crossings.values()])
 
-    # each qubit's bit in a level's index into the (words, 2^n) view
-    bits = {q: 1 << (n - 1 - a) for q, a in axis.items()}
-    index = np.arange(2**n)
-
     levels, peaks = [], []
     for lo in range(0, len(words), step):
         chunk = codes[lo : lo + step]
-        reg = np.zeros((len(chunk), 2**n), dtype=complex)
-        reg[np.arange(len(chunk)), chunk] = 1.0
-        reg = reg.reshape((-1,) + dims)
+        reg = np.zeros((len(chunk),) + dims, dtype=complex)
+        reg.reshape(len(chunk), -1)[np.arange(len(chunk)), chunk] = 1.0
         for i, gate in enumerate(circuit.gates):
-            dense = i not in crossings or backend in ("uncompressed", "standard")
             if gate.kind == "h":
                 reg = _hadamard(reg, n, axis[gate.operands[0]])
-            elif dense and gate.is_x_kind:
-                # flip the target bit of every level whose control bits are all 1,
-                # gathering the levels into a new register
-                ctrl = sum(bits[q] for q in gate.operands[:-1])
-                perm = np.where(index & ctrl == ctrl, index ^ bits[gate.target], index)
-                reg = np.take(reg.reshape(len(chunk), -1), perm, axis=1).reshape(reg.shape)
-            elif dense:
-                # negate, on a new register, the block where every operand bit is 1
-                reg = reg.copy()
-                block = tuple(1 if q in gate.operands else slice(None) for q in order)
-                reg.reshape((-1,) + (2,) * n)[(slice(None),) + block] *= -1
+            elif i not in crossings or backend in ("uncompressed", "standard"):
+                reg = _gate(reg, n, [axis[q] for q in gate.operands], "x" if gate.is_x_kind else "z")
             else:
                 if gate.is_x_kind:
                     reg = _hadamard(reg, n, axis[gate.target])

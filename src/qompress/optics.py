@@ -265,15 +265,18 @@ def route_with_ancilla(qudit: PureState, ancilla: PureState, triggers) -> TwoPho
     indices = _trigger_indices(triggers)
     d = qudit.dim
     if ancilla.dim != len(indices) + 1:
-        raise ValueError(
-            f"ancilla dim {ancilla.dim} does not match {len(indices)} triggers"
-        )
-    image = _swap_image(d, ancilla.dim, [(c, i) for i, c in enumerate(indices)])
-    v, w = _port_vectors(
-        qudit.amps.reshape(qudit.batch + (d,)), ancilla.amps.reshape(ancilla.batch + (-1,))
-    )
-    v, w = v[..., image], w[..., image]
+        raise ValueError(f"ancilla dim {ancilla.dim} does not match {len(indices)} triggers")
+    v, w = _routed_vectors(qudit.amps.reshape(qudit.batch + (d,)),
+                           ancilla.amps.reshape(ancilla.batch + (-1,)), indices)
     return TwoPhotonState._trusted(_pair_coeff(v, w), d)
+
+
+def _routed_vectors(qudit: np.ndarray, ancilla: np.ndarray, indices) -> tuple[np.ndarray, np.ndarray]:
+    """The two photons' mode vectors (v, w) gathered through the router's swap image."""
+    pairs = [(c, i) for i, c in enumerate(indices)]
+    image = np.array(_swap_image(qudit.shape[-1], ancilla.shape[-1], pairs))
+    v, w = _port_vectors(qudit, ancilla)
+    return v[..., image], w[..., image]
 
 
 def _routed_coincidence(qudit: np.ndarray, ancilla: np.ndarray, indices) -> np.ndarray:
@@ -284,9 +287,7 @@ def _routed_coincidence(qudit: np.ndarray, ancilla: np.ndarray, indices) -> np.n
     amplitudes per word where M has (d+k+1)². Each entry sums the same
     two products as M's, so the block is M's doubled up to underflow."""
     d = qudit.shape[-1]
-    image = np.array(_swap_image(d, ancilla.shape[-1], [(c, i) for i, c in enumerate(indices)]))
-    v, w = _port_vectors(qudit, ancilla)
-    v, w = v[..., image], w[..., image]
+    v, w = _routed_vectors(qudit, ancilla, indices)
     block = v[..., :d, None] * w[..., None, d:]
     block += w[..., :d, None] * v[..., None, d:]
     return block

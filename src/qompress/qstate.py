@@ -233,18 +233,6 @@ _HADAMARD = Unitary(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
 _H = _HADAMARD.entries[0, 0].real
 
 
-def _hadamard_axis(amps: np.ndarray, axis: int) -> np.ndarray:
-    """The Hadamard on one size-2 axis of an amplitude array, as the sum
-    and the difference of its two halves, into a new C-ordered array."""
-    axis %= amps.ndim
-    lo, hi = (slice(None),) * axis + (0,), (slice(None),) * axis + (1,)
-    out = np.empty(amps.shape, dtype=complex)
-    np.add(amps[lo], amps[hi], out=out[lo])
-    np.subtract(amps[lo], amps[hi], out=out[hi])
-    out *= _H
-    return out
-
-
 def hadamard() -> Unitary:
     """The qubit Hadamard, validated once: the same frozen Unitary, with
     read-only entries, on every call."""

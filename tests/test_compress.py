@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -34,7 +35,7 @@ from qompress.compress import (
     trigger_sets,
 )
 from qompress.mcz import multi_level_cz
-from qompress.qstate import PureState, Unitary, apply
+from qompress.qstate import PureState, Unitary, apply, hadamard
 
 
 def full_adder_bits(a: int, b: int, cin: int) -> tuple[int, int]:
@@ -493,7 +494,7 @@ class TestSimulation:
                 seen["out"] = reg
                 raise Stop
             seen["in"] = rng.standard_normal(reg.shape) + 1j * rng.standard_normal(reg.shape)
-            return seen["in"]
+            return seen["in"].copy()
 
         monkeypatch.setattr(compress, "_hadamard", hadamard)
         for layout, gate in [
@@ -566,7 +567,7 @@ class TestSimulation:
             seen["in"] = x / np.linalg.norm(x.reshape(len(x), -1), axis=1).reshape(
                 (-1,) + (1,) * (x.ndim - 1)
             )
-            return seen["in"]
+            return seen["in"].copy()
 
         monkeypatch.setattr(compress, "_hadamard", hadamard)
         circuit = CircuitIR(layout.qubit_count, (Gate("h", (0,)), gate, Gate("h", (0,))))
@@ -809,6 +810,42 @@ class TestDenseRegister:
         )
         want = {w: (w[0], w[1] ^ w[5]) + w[2:] for w in itertools.product((0, 1), repeat=6)}
         assert simulate_compressed(circuit, layout, "state-independent") == want
+
+    @pytest.mark.parametrize("backend", ["uncompressed", "standard"])
+    def test_one_register_alive(self, backend):
+        # every dense gate writes into the register it reads, so the peak
+        # stays well under two (words, 2^n) complex registers
+        n = 10
+        sandwich = (Gate("h", (0,)), Gate("cz", (n - 1, 0)), Gate("h", (0,)))
+        circuit = CircuitIR(n, tuple(Gate("ccx", (i, i + 1, i + 2)) for i in range(n - 2)) + sandwich)
+        layout = QuditLayout((tuple(range(n // 2)), tuple(range(n // 2, n))))
+        register = 2**n * 2**n * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            table = simulate_compressed(circuit, layout, backend)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 2**n
+        assert peak < 1.75 * register, peak / register
+
+
+class TestButterflyHadamard:
+    """The private in-place Hadamard on one qubit axis is a sum and a
+    difference of the axis's two halves; the public apply(hadamard().on(i),
+    ...) is its reference."""
+
+    @pytest.mark.parametrize("batch", [(), (5,), (3, 2)], ids=["single", "batch", "two-axes"])
+    def test_matches_apply_on_every_qubit_axis(self, batch):
+        rng = np.random.default_rng(131)
+        dims = (2, 2, 2)
+        amps = rng.standard_normal(batch + dims) + 1j * rng.standard_normal(batch + dims)
+        state = PureState(dims, amps)
+        for sub in range(len(dims)):
+            want = apply(hadamard().on(sub), state).amps
+            got = compress._hadamard(state.amps.copy(), len(dims), sub)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15, err_msg=str(sub))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)

@@ -12,7 +12,6 @@ from qompress.mcz import BsmModel
 from qompress.qstate import (
     PureState,
     Unitary,
-    _hadamard_axis,
     apply,
     fidelity_up_to_phase,
     hadamard,
@@ -236,33 +235,6 @@ def test_random_state_normalized():
 def test_hadamard_involutory():
     h = hadamard().entries
     np.testing.assert_allclose(h @ h, np.eye(2), atol=1e-12)
-
-
-class TestButterflyHadamard:
-    """The private butterfly is the qubit Hadamard on one axis, as a sum and
-    a difference; the public apply(hadamard().on(i), ...) is its reference."""
-
-    @pytest.mark.parametrize("batch", [(), (5,), (3, 2)], ids=["single", "batch", "two-axes"])
-    def test_matches_apply_on_every_qubit_axis(self, batch):
-        rng = np.random.default_rng(131)
-        dims = (2, 3, 2, 2)
-        amps = rng.standard_normal(batch + dims) + 1j * rng.standard_normal(batch + dims)
-        state = PureState(dims, amps)
-        for sub in (0, 2, 3):
-            want = apply(hadamard().on(sub), state).amps
-            got = _hadamard_axis(state.amps, len(batch) + sub)
-            assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15, err_msg=str(sub))
-            # counted from the end it is the same axis
-            np.testing.assert_array_equal(_hadamard_axis(state.amps, sub - len(dims)), got)
-
-    def test_strided_input(self):
-        rng = np.random.default_rng(137)
-        amps = rng.standard_normal((4, 2, 2, 3)) + 1j * rng.standard_normal((4, 2, 2, 3))
-        view = amps.transpose(0, 3, 2, 1)
-        want = apply(hadamard().on(2), PureState((3, 2, 2), view)).amps
-        np.testing.assert_allclose(_hadamard_axis(view, 3), want, rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(view, amps.transpose(0, 3, 2, 1))
 
 
 class TestOwnership:
