@@ -6,12 +6,14 @@ commits unpacked into two directories). The script runs
 - `perfbench/run.py` at its default run length in alternating
   parent/change pairs, one `--pair` spec `WORKLOAD:SEED:PAIRS` each; odd
   pairs run the change first; each run keeps its result line and, beside
-  it, the per-class median op times of its detail line;
+  it, the per-class median op times and the named figures (say
+  `truth_table.state_independent_words_per_s`) of its detail line;
 - the Tier-1 suite once per side, with its wall time and `--durations=10`
   block;
 - the 12-qubit `ccx(i, i+1, i+2)` chain on two and three equal groups
   with the `standard` and `state-independent` backends, wall time and
-  peak RSS, one process each;
+  peak RSS, one process each, in `CHAIN_PAIRS` alternated parent/change
+  pairs per case; every run is kept beside each side's medians;
 - `cost_report` on one `cx` across a w-qubit group and a 2-qubit group,
   w = 14 to 20, wall time and peak RSS, one process each;
 - `qompress verify --trials 1` with both schemes at d1 = 2^10, 2^14, 2^17
@@ -28,7 +30,9 @@ commits unpacked into two directories). The script runs
 
 A process that prints no result, say one killed for memory or a `verify`
 that exits 2 when an allocation fails, keeps its exit code and stderr
-instead.
+instead. The chain and `verify` scripts import numpy before they start the
+clock, so their series time the work alone, and the allocator's history
+of large frees does not depend on where numpy was first loaded.
 
 The output file is written afresh.
 
@@ -43,6 +47,7 @@ import json
 import os
 import re
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -50,6 +55,7 @@ from pathlib import Path
 
 CHAIN = """
 import json, resource, sys, time
+import numpy
 from qompress.compress import CircuitIR, Gate, QuditLayout, simulate_compressed
 n, k, backend = 12, int(sys.argv[1]), sys.argv[2]
 circuit = CircuitIR(n, tuple(Gate("ccx", (i, i + 1, i + 2)) for i in range(n - 2)))
@@ -74,6 +80,7 @@ print(json.dumps({"width": w, "wall_s": time.perf_counter() - t0,
 
 VERIFY = """
 import contextlib, io, json, resource, sys, time
+import numpy
 from qompress.cli import main
 scheme, d1 = sys.argv[1], sys.argv[2]
 out = io.StringIO()
@@ -100,6 +107,11 @@ print(json.dumps(gen.cli_argvs(31)))
 # the module name indented two spaces per level of nesting
 IMPORT_TIME = re.compile(r"^import time:\s+\d+ \|\s+(\d+) \| ( *)(\S+)$", re.MULTILINE)
 
+CHAIN_CASES = tuple((k, b) for b in ("standard", "state-independent") for k in (2, 3))
+# a 10% change in one chain's wall time is within this box's spread between
+# single runs, so each case runs in alternated pairs and is read by its median
+CHAIN_PAIRS = 3
+
 VERIFY_DIMS = (1 << 10, 1 << 14, 1 << 17, 1 << 20)
 # the address-space limit of each verify_scaling process, the 2 GB of the
 # large-register CI step
@@ -123,7 +135,9 @@ def bench_pairs(sides: dict[str, Path], spec: str, record: dict):
             record["runs"].append({"workload": workload, "seed": int(seed), "pair": pair,
                                    "side": side, "result": lines[-1] if lines else out.stderr,
                                    "class_median_ms": {cls: c["median_ms"] for cls, c
-                                                       in detail.get("classes", {}).items()}})
+                                                       in detail.get("classes", {}).items()},
+                                   "named": {name: figure["value"] for name, figure
+                                             in detail.get("named", {}).items()}})
             print(side, workload, seed, pair, lines[-1]["metrics"]["op_ms"]["value"] if lines else "?",
                   file=sys.stderr)
 
@@ -155,6 +169,31 @@ def script_runs(path: Path, script: str, arg_lists, limit_mb: int | None = None)
         records.append(json.loads(out.stdout) if out.stdout.startswith("{") else
                        {"args": list(args), "returncode": out.returncode, "stderr": out.stderr})
     return records
+
+
+def chain_pairs(sides: dict[str, Path]) -> dict:
+    """Every `CHAIN_CASES` case in `CHAIN_PAIRS` alternated pairs, odd pairs
+    change first: each run, and per side and case the median wall time and
+    peak RSS of the runs that printed a result."""
+    runs = []
+    for pair in range(CHAIN_PAIRS):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for case in CHAIN_CASES:
+            for side in order:
+                (result,) = script_runs(sides[side], CHAIN, [case])
+                runs.append({"side": side, "pair": pair, "case": list(case), "result": result})
+                print(side, "ccx_chain_12", *case, pair, result.get("wall_s", "?"), file=sys.stderr)
+    medians = {}
+    for side in sides:
+        medians[side] = []
+        for groups, backend in CHAIN_CASES:
+            done = [r["result"] for r in runs if r["side"] == side and r["case"] == [groups, backend]
+                    and "wall_s" in r["result"]]
+            medians[side].append({
+                "groups": groups, "backend": backend, "runs": len(done),
+                **{key: statistics.median(r[key] for r in done) if done else None
+                   for key in ("wall_s", "peak_rss_mb")}})
+    return {"runs": runs, "median": medians}
 
 
 def startup(path: Path) -> dict:
@@ -191,9 +230,7 @@ def main(argv=None) -> int:
     for spec in args.pair:
         bench_pairs(sides, spec, record)
     record["tier1"] = {side: tier1(path) for side, path in sides.items()}
-    record["ccx_chain_12"] = {
-        side: script_runs(path, CHAIN, [(k, b) for b in ("standard", "state-independent") for k in (2, 3)])
-        for side, path in sides.items()}
+    record["ccx_chain_12"] = chain_pairs(sides)
     record["wide_cx_pricing"] = {side: script_runs(path, WIDE_PRICING, [(w,) for w in range(14, 21)])
                                  for side, path in sides.items()}
     record["verify_scaling"] = {

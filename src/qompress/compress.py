@@ -355,14 +355,20 @@ def _hadamard(reg, n: int, axis: int):
 
 
 def _scheme_crossing(reg, deriv: TriggerDerivation, backend: str):
-    """Set up one crossing's scheme on a (words, d_1, ..., d_k) register.
+    """Run one crossing's scheme in place on a C-contiguous (words, d_1,
+    ..., d_k) register, and return the register.
 
     The other groups' axes fold into the word axis, so each (word,
     spectator) slice is a (d1, d2) state. A nonzero slice c·ψ enters the
     scheme as the unit input ψ, and its output Uψ is scaled back by c; a
-    zero slice stays zero. The returned function runs the scheme and
-    streams its output into the next register. The scheme holds its own
-    copy of the slices, so the caller can drop `reg` first.
+    zero slice stays zero. One squared-modulus pass gives the live slices,
+    their scales and the router's largest row and column. When every slice
+    is live and the crossing's groups are the register's last axes, the
+    scheme reads the register's own rows; otherwise it reads a gathered
+    copy of the live ones. The scheme runs a slice of words at a time, and
+    each slice's output is written into the rows it came from, through the
+    transposed view, once that slice has run, so no second register is
+    built and `reg` stays C-contiguous.
     """
     import numpy as np
 
@@ -372,44 +378,44 @@ def _scheme_crossing(reg, deriv: TriggerDerivation, backend: str):
     g1, g2 = deriv.groups
     d1, d2 = deriv.first.dim, deriv.second.dim
     perm = [0] + [1 + g for g in range(reg.ndim - 1) if g not in (g1, g2)] + [1 + g1, 1 + g2]
-    moved = reg.transpose(perm)
-    shape, x = moved.shape, moved.reshape(-1, d1, d2)
-    total, live = len(x), np.flatnonzero(np.any(x, axis=(1, 2)))
-    x = x[live]
+    moved = reg.transpose(perm)  # a view: writes through it land in `reg`
+    x = moved.reshape(-1, d1, d2)  # `reg`'s own rows when g1, g2 are its last axes
+    mass = np.abs(x)
+    mass *= mass
+    total = mass.reshape(len(x), -1).sum(axis=1)
+    live = np.flatnonzero(total)
+    if len(live) < len(x):
+        x = x[live]
     model = BsmModel.linear_optics()
     if backend == "state-independent":
-        # per slice, over the real and imaginary parts, with no conjugate copy
-        scale = np.sqrt(np.einsum("wij,wij->w", x.real, x.real) + np.einsum("wij,wij->w", x.imag, x.imag))
-        x /= scale[:, None, None]
+        scale = np.sqrt(total[live])
+        x *= 1 / scale[:, None, None]  # bit for bit x / scale, at half its cost
         joint = PureState._fresh((d1, d2), x)
         runs = _run_state_independent(joint, deriv.first, deriv.second, "fast", model)
     else:
         # one crossing only, so every slice is a product a bᵀ: a is read off
         # its largest column and b off its largest row
         rows = np.arange(len(x))
-        a = x[rows, :, np.argmax(np.linalg.norm(x, axis=1), axis=1)]
-        b = x[rows, np.argmax(np.linalg.norm(x, axis=2), axis=1)]
+        a = x[rows, :, np.argmax(mass.sum(axis=1)[live], axis=1)]
+        b = x[rows, np.argmax(mass.sum(axis=2)[live], axis=1)]
         a /= np.linalg.norm(a, axis=1, keepdims=True)
         b /= np.linalg.norm(b, axis=1, keepdims=True)
         scale = np.einsum("wi,wj,wij->w", a.conj(), b.conj(), x)
         runs = _run_state_dependent(
             PureState._fresh((d1,), a), PureState._fresh((d2,), b), deriv.first, deriv.second, model
         )
+    del x, mass  # the run below is where memory peaks; the scheme keeps what it reads
 
-    def place():
-        out = np.zeros((total, d1, d2), dtype=complex)
-        done = 0
-        # the scheme hands its words back a slice at a time; each is written
-        # into place and dropped before the next one runs, since an output is
-        # a view that keeps every branch of its slice alive
-        for amps in map(attrgetter("output.amps"), runs):
-            out[live[done : done + len(amps)]] = amps * scale[done : done + len(amps), None, None]
-            done += len(amps)
-            del amps
-        # C-ordered for the in-place gates: no copy if g1, g2 are the last axes
-        return np.ascontiguousarray(out.reshape(shape).transpose(np.argsort(perm)))
-
-    return place
+    done = 0
+    # the scheme hands its words back a slice at a time; each is written
+    # into place and dropped before the next one runs, since an output is
+    # a view that keeps every branch of its slice alive
+    for amps in map(attrgetter("output.amps"), runs):
+        at = np.unravel_index(live[done : done + len(amps)], moved.shape[:-2])
+        moved[at] = amps * scale[done : done + len(amps), None, None]
+        done += len(amps)
+        del amps
+    return reg
 
 
 def simulate_compressed(
@@ -430,10 +436,11 @@ def simulate_compressed(
     multi-controlled flip, swaps its target's halves of the block where its
     controls are 1. Only a scheme crossing keeps the sandwich, since the
     scheme realizes the diagonal core; the scheme backends run it once per
-    crossing and word chunk. A chunk holds as many amplitudes as all words'
-    widest per-word state (the group registers side by side, or a crossing's
-    d1·d2 product), so two groups with a crossing run in one chunk while
-    more groups, whose register grows as 4^n, run in several.
+    crossing and word chunk, and write its output back into the rows of the
+    register it read (`_scheme_crossing`). A chunk holds as many amplitudes
+    as all words' widest per-word state (the group registers side by side,
+    or a crossing's d1·d2 product), so two groups with a crossing run in one
+    chunk while more groups, whose register grows as 4^n, run in several.
 
     Errors come in a fixed order. Before any gate runs, the state-dependent
     backend refuses a circuit with a second gate over more than one group,
@@ -458,7 +465,8 @@ def simulate_compressed(
     order = list(axis)
     shifts = np.arange(n - 1, -1, -1)
     words = list(itertools.product((0, 1), repeat=n))
-    codes = np.array(words)[:, order] @ (1 << shifts)
+    # word w holds qubit q's bit at w >> (n - 1 - q); its level reads them in `order`
+    codes = (np.arange(len(words))[:, None] >> shifts[order] & 1) @ (1 << shifts)
     # a chunk of `step` words holds step·2^n amplitudes, as many as all 2^n
     # words' widest per-word state
     step = max([sum(dims)] + [dims[d.groups[0]] * dims[d.groups[1]] for d in crossings.values()])
@@ -476,9 +484,7 @@ def simulate_compressed(
             else:
                 if gate.is_x_kind:
                     reg = _hadamard(reg, n, axis[gate.target])
-                place = _scheme_crossing(reg, crossings[i], backend)
-                del reg  # the scheme holds its own copy, so only one register is alive
-                reg = place()
+                reg = _scheme_crossing(reg, crossings[i], backend)
                 if gate.is_x_kind:
                     reg = _hadamard(reg, n, axis[gate.target])
         flat = np.abs(reg.reshape(len(chunk), -1))

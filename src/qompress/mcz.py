@@ -161,9 +161,11 @@ def _outcomes(
     probs = mass.sum(axis=tuple(range(-ndims, 0)))
     del mass
     kept = probs > 1e-14
-    per_word = (...,) + (None,) * ndims
-    fronts /= np.sqrt(np.where(kept, probs, 1.0))[per_word]
-    fronts[~kept] = 0.0
+    # one multiply of the stack's float view (re, im on a last axis) by the
+    # reciprocal norm, 0 below the cutoff: bit for bit the complex-by-real divide
+    scale = np.divide(1.0, np.sqrt(probs), out=np.zeros_like(probs), where=kept)
+    parts = fronts[..., None].view(float)
+    parts *= scale[(...,) + (None,) * (ndims + 1)]
     fronts.setflags(write=False)
     batched, dims = probs.ndim > 1, fronts.shape[fronts.ndim - ndims :]
     live = kept.any(axis=tuple(range(kept.ndim - 1))).tolist()

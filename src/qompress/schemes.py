@@ -149,13 +149,21 @@ def _bits(triggers: TriggerSet) -> np.ndarray:
     return bits
 
 
+def _on_levels(table: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """A per-label table over the two flags' values, (h, 2, 2), laid out on
+    the registers' levels by their flag bits: (h, d1, d2), C-ordered. The
+    fancy index alone leaves the label axis innermost, and every stack
+    multiplied by it would inherit that, each branch a strided view."""
+    return np.ascontiguousarray(table[:, b1[:, None], b2])
+
+
 @dataclass
 class _Tail:
     """The fusion tail's constants, built once per core call: each
     register's flag bits, the heralded labels' bras over the flags
     (h, 2, 2) and their sign corrections laid out on the registers
-    (h, d1, d2), the exact success and the share of it that is simulated,
-    and the counts."""
+    (h, d1, d2), C-ordered, the exact success and the share of it that is
+    simulated, and the counts."""
 
     scheme: str
     model: BsmModel
@@ -172,7 +180,7 @@ class _Tail:
     def build(cls, scheme: str, t1: TriggerSet, t2: TriggerSet, model: BsmModel) -> "_Tail":
         heralded = _heralded(model)
         b1, b2 = _bits(t1), _bits(t2)
-        signs = _CORRECTIONS[heralded][:, b1[:, None], b2]
+        signs = _on_levels(_CORRECTIONS[heralded], b1, b2)
         expected = success_probability(scheme, len(t1), len(t2), model)
         simulated, ancillas, gates = expected, 2, 1
         if scheme == "state-independent":
@@ -398,8 +406,7 @@ def _run_state_independent(
     # signs s, leaves it ((1+s)|0> + (1-s)|1>)/2: exactly |1> on the trigger
     # levels and |0> elsewhere. So outcome b's conditional state is the input
     # times bra_b at both flags' values, one (d1, d2) coefficient per label
-    b1, b2 = tail.bits
-    coeffs = tail.bras[:, b1[:, None], b2]
+    coeffs = _on_levels(tail.bras, *tail.bits)
 
     # the fusion tail alone: the ladder builds no register of its own
     return _by_slice(

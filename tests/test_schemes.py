@@ -448,6 +448,35 @@ def random_batch(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+class TestLayout:
+    """The fusion tail's stacks are C-ordered (..., h, d1, d2): each word's
+    conditional state and branch output per label is one contiguous block,
+    so every pass over the stack and every read of a branch is contiguous."""
+
+    @MODELS
+    @pytest.mark.parametrize("words", [None, 3], ids=["single", "batch"])
+    def test_outcome_states_are_contiguous(self, model, words):
+        rng = np.random.default_rng(191)
+        d1, d2, c1, c2 = 8, 4, (1, 6), (0, 3)
+        batch = () if words is None else (words,)
+
+        def unit(dims):
+            x = random_batch(batch + dims, rng)
+            return x / np.linalg.norm(x.reshape(batch + (-1,)), axis=-1)[(...,) + (None,) * len(dims)]
+
+        psi1, psi2 = PureState((d1,), unit((d1,))), PureState((d2,), unit((d2,)))
+        joint = PureState((d1, d2), unit((d1, d2)))
+        for res in (*_run_state_independent(joint, c1, c2, "fast", model),
+                    *_run_state_dependent(psi1, psi2, c1, c2, model)):
+            states = [*(b.output for b in res.branches),
+                      *(o.state for o in res.bsm_outcomes if o.state is not None)]
+            assert len(states) == 2 * len(res.branches) > 0
+            for state in states:
+                assert all(state.amps[w].flags.c_contiguous for w in np.ndindex(batch)), res.scheme
+        assert _Tail.build("state-independent", TriggerSet(c1, d1), TriggerSet(c2, d2),
+                           model).signs.flags.c_contiguous
+
+
 class TestSignMultiplies:
     """Inside the schemes every sign gate is a multiply by a ±1 array. On
     random batched states each must equal the dense gate's apply exactly;
