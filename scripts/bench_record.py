@@ -10,23 +10,35 @@ commits unpacked into two directories). The script runs
   `truth_table.state_independent_words_per_s`) of its detail line;
 - the Tier-1 suite once per side, with its wall time and `--durations=10`
   block;
-- the 12-qubit `ccx(i, i+1, i+2)` chain on two and three equal groups
-  with the `standard` and `state-independent` backends, wall time and
-  peak RSS, one process each, in `CHAIN_PAIRS` alternated parent/change
-  pairs per case; every run is kept beside each side's medians;
+- `ccx_chain_12`: the 12-qubit `ccx(i, i+1, i+2)` chain on two and three
+  equal groups with the `standard` and `state-independent` backends, wall
+  time and peak RSS, one process each, in `CHAIN_PAIRS` pairs per case;
+- `h_sandwich_12`: `h` on each of 12 qubits in two groups, `cz(0, 11)`
+  twice and `h` on each qubit again, on the same two backends, in
+  `CHAIN_PAIRS` pairs per case: every word spreads over all 4096 codes
+  and crosses twice at full support;
 - `cost_report` on one `cx` across a w-qubit group and a 2-qubit group,
-  w = 14 to 20, wall time and peak RSS, one process each;
+  w = 14 to 20, wall time and peak RSS, one process per side and point;
 - `qompress verify --trials 1` with both schemes at d1 = 2^10, 2^14, 2^17
-  and 2^20 and d2 = 2, wall time and peak RSS, one process each, under a
-  2000 MB address-space limit, so a side that asks for more memory than
-  that exits instead of exhausting the machine;
+  and 2^20 and d2 = 2, wall time and peak RSS, one process per side and
+  point, under a 2000 MB address-space limit, so a side that asks for
+  more memory than that exits instead of exhausting the machine;
 - the `startup` series: each of the four `cli` workload argvs (seed 31) in
-  one `python -X importtime` process, with its exit code, wall time and the
-  cumulative import microseconds of `numpy` (0 when it was not imported)
-  and of `qompress` (every top-level import of the package or one of its
-  modules, numpy included where one of them pulled it in), beside the
-  side's `sys.flags.dont_write_bytecode`: with it set, no process reuses
-  compiled bytecode and every one pays for compiling the package.
+  one `python -X importtime` process per side, with its exit code, wall
+  time and the cumulative import microseconds of `numpy` (0 when it was
+  not imported) and of `qompress` (every top-level import of the package
+  or one of its modules, numpy included where one of them pulled it in),
+  beside each side's `sys.flags.dont_write_bytecode`: with it set, no
+  process reuses compiled bytecode and every one pays for compiling the
+  package;
+- on the change side alone, `ccx_chain_16` and `ccx_chain_20`: the chain
+  at 16 and 20 qubits on two groups, both backends, under the same
+  2000 MB limit.
+
+Every series that runs on both sides alternates them: each point runs
+once per side in a pair, and the side that runs first alternates from
+point to point and from pair to pair, so the box's slow spells do not
+land on one side. Each series keeps every run beside each side's medians.
 
 A process that prints no result, say one killed for memory or a `verify`
 that exits 2 when an allocation fails, keeps its exit code and stderr
@@ -57,12 +69,28 @@ CHAIN = """
 import json, resource, sys, time
 import numpy
 from qompress.compress import CircuitIR, Gate, QuditLayout, simulate_compressed
-n, k, backend = 12, int(sys.argv[1]), sys.argv[2]
+n, k, backend = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
 circuit = CircuitIR(n, tuple(Gate("ccx", (i, i + 1, i + 2)) for i in range(n - 2)))
 layout = QuditLayout(tuple(tuple(range(g * n // k, (g + 1) * n // k)) for g in range(k)))
 t0 = time.perf_counter()
 simulate_compressed(circuit, layout, backend)
-print(json.dumps({"groups": k, "backend": backend, "wall_s": time.perf_counter() - t0,
+print(json.dumps({"qubits": n, "groups": k, "backend": backend, "wall_s": time.perf_counter() - t0,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+H_SANDWICH = """
+import json, resource, sys, time
+import numpy
+from qompress.compress import CircuitIR, Gate, QuditLayout, simulate_compressed
+n, backend = 12, sys.argv[1]
+spread = tuple(Gate("h", (q,)) for q in range(n))
+circuit = CircuitIR(n, spread + (Gate("cz", (0, n - 1)),) * 2 + spread)
+layout = QuditLayout((tuple(range(n // 2)), tuple(range(n // 2, n))))
+t0 = time.perf_counter()
+table = simulate_compressed(circuit, layout, backend)
+wall = time.perf_counter() - t0
+assert all(word == out for word, out in table.items())
+print(json.dumps({"qubits": n, "backend": backend, "wall_s": wall,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
@@ -107,10 +135,14 @@ print(json.dumps(gen.cli_argvs(31)))
 # the module name indented two spaces per level of nesting
 IMPORT_TIME = re.compile(r"^import time:\s+\d+ \|\s+(\d+) \| ( *)(\S+)$", re.MULTILINE)
 
-CHAIN_CASES = tuple((k, b) for b in ("standard", "state-independent") for k in (2, 3))
+BACKENDS = ("standard", "state-independent")
+CHAIN_CASES = tuple((12, k, b) for b in BACKENDS for k in (2, 3))
 # a 10% change in one chain's wall time is within this box's spread between
 # single runs, so each case runs in alternated pairs and is read by its median
 CHAIN_PAIRS = 3
+# the wide chains, run on the change side alone: a dense register of 16
+# qubits needs 64 GiB
+WIDE_CHAIN_CASES = tuple((n, 2, b) for n in (16, 20) for b in BACKENDS)
 
 VERIFY_DIMS = (1 << 10, 1 << 14, 1 << 17, 1 << 20)
 # the address-space limit of each verify_scaling process, the 2 GB of the
@@ -171,50 +203,62 @@ def script_runs(path: Path, script: str, arg_lists, limit_mb: int | None = None)
     return records
 
 
-def chain_pairs(sides: dict[str, Path]) -> dict:
-    """Every `CHAIN_CASES` case in `CHAIN_PAIRS` alternated pairs, odd pairs
-    change first: each run, and per side and case the median wall time and
-    peak RSS of the runs that printed a result."""
+def alternated(sides: dict[str, Path], name: str, script: str, cases, pairs: int = 1,
+               limit_mb: int | None = None) -> dict:
+    """Every case of `script` in `pairs` alternated parent/change pairs, the
+    first side alternating from case to case and from pair to pair: each
+    run, and per side and case the median wall time and peak RSS of the
+    runs that printed a result."""
     runs = []
-    for pair in range(CHAIN_PAIRS):
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for case in CHAIN_CASES:
+    for pair in range(pairs):
+        for j, case in enumerate(cases):
+            order = ("parent", "change") if (pair + j) % 2 == 0 else ("change", "parent")
             for side in order:
-                (result,) = script_runs(sides[side], CHAIN, [case])
+                (result,) = script_runs(sides[side], script, [case], limit_mb)
                 runs.append({"side": side, "pair": pair, "case": list(case), "result": result})
-                print(side, "ccx_chain_12", *case, pair, result.get("wall_s", "?"), file=sys.stderr)
-    medians = {}
+                print(side, name, *case, pair, result.get("wall_s", "?"), file=sys.stderr)
+    return {"runs": runs, "median": medians(runs, sides, cases)}
+
+
+def medians(runs: list[dict], sides, cases) -> dict:
+    out = {}
     for side in sides:
-        medians[side] = []
-        for groups, backend in CHAIN_CASES:
-            done = [r["result"] for r in runs if r["side"] == side and r["case"] == [groups, backend]
+        out[side] = []
+        for case in cases:
+            done = [r["result"] for r in runs if r["side"] == side and r["case"] == list(case)
                     and "wall_s" in r["result"]]
-            medians[side].append({
-                "groups": groups, "backend": backend, "runs": len(done),
+            out[side].append({
+                "case": list(case), "runs": len(done),
                 **{key: statistics.median(r[key] for r in done) if done else None
                    for key in ("wall_s", "peak_rss_mb")}})
-    return {"runs": runs, "median": medians}
+    return out
 
 
-def startup(path: Path) -> dict:
-    """One side's `startup` series (see the module docstring)."""
+def startup_run(path: Path, argv: list[str]) -> dict:
+    """One `startup` process (see the module docstring)."""
+    t0 = time.perf_counter()
+    out = run([sys.executable, "-X", "importtime", *argv], path, env={**os.environ, "PYTHONPATH": "src"})
+    wall = time.perf_counter() - t0
+    numpy_us = qompress_us = 0
+    for cumulative, indent, module in IMPORT_TIME.findall(out.stderr):
+        if module == "numpy":
+            numpy_us = int(cumulative)
+        elif not indent and module.split(".")[0] == "qompress":
+            qompress_us += int(cumulative)
+    return {"exit": out.returncode, "wall_s": wall, "numpy_us": numpy_us, "qompress_us": qompress_us}
+
+
+def startup(sides: dict[str, Path]) -> dict:
+    """The `startup` series, one process per side and argv, alternated."""
     env = {**os.environ, "PYTHONPATH": "src"}
-    flag = run([sys.executable, "-c", "import sys; print(sys.flags.dont_write_bytecode)"], path,
-               env=env)
-    records = []
-    for name, argv in json.loads(run([sys.executable, "-c", CLI_ARGVS], path, env=env).stdout):
-        t0 = time.perf_counter()
-        out = run([sys.executable, "-X", "importtime", *argv], path, env=env)
-        wall = time.perf_counter() - t0
-        numpy_us = qompress_us = 0
-        for cumulative, indent, module in IMPORT_TIME.findall(out.stderr):
-            if module == "numpy":
-                numpy_us = int(cumulative)
-            elif not indent and module.split(".")[0] == "qompress":
-                qompress_us += int(cumulative)
-        records.append({"command": name, "exit": out.returncode, "wall_s": wall,
-                        "numpy_us": numpy_us, "qompress_us": qompress_us})
-    return {"dont_write_bytecode": int(flag.stdout), "runs": records}
+    record = {side: {"dont_write_bytecode": int(run(
+        [sys.executable, "-c", "import sys; print(sys.flags.dont_write_bytecode)"], path,
+        env=env).stdout), "runs": []} for side, path in sides.items()}
+    argvs = json.loads(run([sys.executable, "-c", CLI_ARGVS], sides["change"], env=env).stdout)
+    for j, (name, argv) in enumerate(argvs):
+        for side in ("parent", "change") if j % 2 == 0 else ("change", "parent"):
+            record[side]["runs"].append({"command": name, **startup_run(sides[side], argv)})
+    return record
 
 
 def main(argv=None) -> int:
@@ -230,14 +274,21 @@ def main(argv=None) -> int:
     for spec in args.pair:
         bench_pairs(sides, spec, record)
     record["tier1"] = {side: tier1(path) for side, path in sides.items()}
-    record["ccx_chain_12"] = chain_pairs(sides)
-    record["wide_cx_pricing"] = {side: script_runs(path, WIDE_PRICING, [(w,) for w in range(14, 21)])
-                                 for side, path in sides.items()}
-    record["verify_scaling"] = {
-        side: script_runs(path, VERIFY, [(scheme, d1) for scheme in ("state-dependent", "state-independent")
-                                         for d1 in VERIFY_DIMS], VERIFY_LIMIT_MB)
-        for side, path in sides.items()}
-    record["startup"] = {side: startup(path) for side, path in sides.items()}
+    record["ccx_chain_12"] = alternated(sides, "ccx_chain_12", CHAIN, CHAIN_CASES, CHAIN_PAIRS)
+    record["h_sandwich_12"] = alternated(sides, "h_sandwich_12", H_SANDWICH,
+                                         [(b,) for b in BACKENDS], CHAIN_PAIRS)
+    record["wide_cx_pricing"] = alternated(sides, "wide_cx_pricing", WIDE_PRICING,
+                                           [(w,) for w in range(14, 21)])
+    record["verify_scaling"] = alternated(
+        sides, "verify_scaling", VERIFY,
+        [(scheme, d1) for scheme in ("state-dependent", "state-independent") for d1 in VERIFY_DIMS],
+        limit_mb=VERIFY_LIMIT_MB)
+    record["startup"] = startup(sides)
+    for case in WIDE_CHAIN_CASES:
+        name = f"ccx_chain_{case[0]}"
+        (result,) = script_runs(sides["change"], CHAIN, [case], VERIFY_LIMIT_MB)
+        record.setdefault(name, {"change": []})["change"].append(result)
+        print("change", name, *case, result.get("wall_s", "?"), file=sys.stderr)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from importlib import resources
-from operator import attrgetter
 
 from .exact import BsmModel, TriggerSet, success_probability
 
@@ -35,6 +34,8 @@ _VARIADIC = ("mcx", "mcz")
 
 # a final amplitude this close to 1 in modulus reads as a basis word
 _READOUT_ATOL = 1e-9
+# an entry of a word's support below this modulus has cancelled and leaves
+_SUPPORT_CUTOFF = 1e-14
 
 
 class CircuitFormatError(ValueError):
@@ -323,99 +324,113 @@ def cost_report(circuit: CircuitIR, layout: QuditLayout) -> CostReport:
     return CostReport(rows, crossings)
 
 
-def _gate(reg, n: int, axes, kind: str):
-    """Run one gate in place on a C-contiguous n-qubit register, and return it:
-    on the block of its (words, 2, ..., 2) view where all `axes` but the last
-    are 1, `h` maps the last axis's halves (lo, hi) to (lo + hi, lo − hi)·H,
-    `x` swaps them and `z` negates hi. No view outlives the call."""
-    view = reg.reshape((-1,) + (2,) * n)  # a view, since the register is C-contiguous
-    block = [1 if a in axes else slice(None) for a in range(n)]
-    hi = view[(..., *block)]
-    block[axes[-1]] = 0
-    lo = view[(..., *block)]
-    if kind == "x":
-        lo[...], hi[...] = hi, lo.copy()
-    elif kind == "z":
-        hi *= -1
-    else:
-        import numpy as np
-
-        from .qstate import _H
-
-        total = lo + hi
-        np.subtract(lo, hi, out=hi)
-        lo[...] = total
-        reg *= _H  # an h has no controls: its block is the whole register
-    return reg
-
-
-def _hadamard(reg, n: int, axis: int):
-    """Hadamard on one qubit axis of the (words, 2, ..., 2) view of an n-qubit register."""
-    return _gate(reg, n, (axis,), "h")
-
-
-def _scheme_crossing(reg, deriv: TriggerDerivation, backend: str):
-    """Run one crossing's scheme in place on a C-contiguous (words, d_1,
-    ..., d_k) register, and return the register.
-
-    The other groups' axes fold into the word axis, so each (word,
-    spectator) slice is a (d1, d2) state. A nonzero slice c·ψ enters the
-    scheme as the unit input ψ, and its output Uψ is scaled back by c; a
-    zero slice stays zero. One squared-modulus pass gives the live slices,
-    their scales and the router's largest row and column. When every slice
-    is live and the crossing's groups are the register's last axes, the
-    scheme reads the register's own rows; otherwise it reads a gathered
-    copy of the live ones. The scheme runs a slice of words at a time, and
-    each slice's output is written into the rows it came from, through the
-    transposed view, once that slice has run, so no second register is
-    built and `reg` stays C-contiguous.
-    """
+def _hadamard(codes, amps, bit: int):
+    """`h` on the qubit at `bit` of every word's support (codes, amps), a
+    slice of words at a time (`schemes._by_slice`, 16 amplitudes of arrays
+    per entry); returns the new support, as wide as the widest word's."""
     import numpy as np
 
-    from .qstate import PureState
-    from .schemes import _run_state_dependent, _run_state_independent
+    from .qstate import _H, PureState, _check_discard
+    from .schemes import _by_slice
 
-    g1, g2 = deriv.groups
-    d1, d2 = deriv.first.dim, deriv.second.dim
-    perm = [0] + [1 + g for g in range(reg.ndim - 1) if g not in (g1, g2)] + [1 + g1, 1 + g2]
-    moved = reg.transpose(perm)  # a view: writes through it land in `reg`
-    x = moved.reshape(-1, d1, d2)  # `reg`'s own rows when g1, g2 are its last axes
-    mass = np.abs(x)
-    mass *= mass
-    total = mass.reshape(len(x), -1).sum(axis=1)
-    live = np.flatnonzero(total)
-    if len(live) < len(x):
-        x = x[live]
-    model = BsmModel.linear_optics()
+    def split(state, codes):
+        flip = codes & bit
+        lo = codes ^ flip
+        codes = np.concatenate([lo, lo | bit], axis=1)
+        amps = np.concatenate([state.amps, np.where(flip, -state.amps, state.amps)], axis=1) * _H
+        if (flip == flip[:, :1]).all():  # each word's entries share the bit: none meet
+            return codes, amps
+        # sorted, two entries on one code meet: the second and what cancels leave
+        order = np.argsort(codes, axis=1) + np.arange(0, codes.size, codes.shape[1])[:, None]
+        codes, amps = codes.ravel()[order], amps.ravel()[order]
+        twice = codes[:, 1:] == codes[:, :-1]
+        amps[:, :-1] += np.where(twice, amps[:, 1:], 0)
+        amps[:, 1:][twice] = 0
+        keep = np.abs(amps) > _SUPPORT_CUTOFF
+        dropped = np.where(keep, 0, amps)
+        if dropped.any():
+            _check_discard(dropped, 1)
+        counts = keep.sum(axis=1)
+        packed = np.arange(counts.max()) < counts[:, None]
+        out = np.full(packed.shape, -1), np.zeros(packed.shape, dtype=complex)
+        out[0][packed], out[1][packed] = codes[keep], amps[keep]
+        return out
+
+    out, lo = None, 0
+    for c, a in _by_slice(split, [PureState._fresh(amps.shape[1:], amps)], 16 * amps.shape[1], codes):
+        if len(c) == len(codes):
+            return c, a
+        if out is None or c.shape[1] > out[0].shape[1]:  # a wider slice widens every support
+            grown = np.full((len(codes), c.shape[1]), -1), np.zeros((len(codes), c.shape[1]), complex)
+            for new, old in zip(grown, out or ()):
+                new[:lo, : old.shape[1]] = old[:lo]
+            out = grown
+        out[0][lo : lo + len(c), : c.shape[1]], out[1][lo : lo + len(c), : c.shape[1]] = c, a
+        lo += len(c)
+    return out
+
+
+def _crossing(codes, amps, layout: QuditLayout, deriv: TriggerDerivation, backend: str):
+    """Run one crossing's scheme on the supports, writing into `amps`. The
+    entries of a word that agree off the crossing's groups form a slice, a
+    (d1, d2) state on level pairs l1·d2 + l2: a word's own codes with two
+    groups, else a gathered row padded by level -1. A slice c·ψ enters as
+    the unit ψ, all in one core call, and leaves as c·Uψ; the router reads
+    ψ as a bᵀ through its largest entry, checking the residual as a
+    truncation."""
+    import numpy as np
+
+    from . import schemes
+    from .qstate import PureState, _check_discard
+
+    (g1, g2), t1, t2 = deriv.groups, deriv.first, deriv.second
+    d1, d2, n = t1.dim, t2.dim, layout.qubit_count
+    low1, low2 = (sum(map(len, layout.groups[g + 1 :])) for g in (g1, g2))
+    others = (1 << n) - 1 - (d1 - 1 << low1) - (d2 - 1 << low2)
+    x, levels = amps, codes
+    if others:  # the valid entries by (word, other groups' bits): each run is a slice
+        key = np.where(codes >= 0, np.arange(len(codes))[:, None] << n | codes & others, -1).ravel()
+        at = np.argsort(key)[np.count_nonzero(key < 0) :]
+        new = np.diff(key[at], prepend=-1) != 0
+        which = np.cumsum(new) - 1
+        pos = np.arange(len(at)) - np.flatnonzero(new)[which]
+        levels = np.full((which[-1] + 1, pos.max() + 1), -1)
+        c = codes.reshape(-1)[at]
+        levels[which, pos] = (c >> low1 & d1 - 1) * d2 + (c >> low2 & d2 - 1)
+        x = np.zeros(levels.shape, dtype=complex)
+        x[which, pos] = amps.reshape(-1)[at]
+    valid = levels >= 0
+    mass = x.real**2 + x.imag**2
     if backend == "state-independent":
-        scale = np.sqrt(total[live])
-        x *= 1 / scale[:, None, None]  # bit for bit x / scale, at half its cost
-        joint = PureState._fresh((d1, d2), x)
-        runs = _run_state_independent(joint, deriv.first, deriv.second, "fast", model)
+        scale = np.sqrt(mass.sum(axis=1))
+        unit = PureState._fresh(x.shape[1:], x * (1 / scale)[:, None])
+        runs = schemes._run_state_independent(unit, t1, t2, "fast", BsmModel.linear_optics(), levels)
     else:
-        # one crossing only, so every slice is a product a bᵀ: a is read off
-        # its largest column and b off its largest row
-        rows = np.arange(len(x))
-        a = x[rows, :, np.argmax(mass.sum(axis=1)[live], axis=1)]
-        b = x[rows, np.argmax(mass.sum(axis=2)[live], axis=1)]
-        a /= np.linalg.norm(a, axis=1, keepdims=True)
-        b /= np.linalg.norm(b, axis=1, keepdims=True)
-        scale = np.einsum("wi,wj,wij->w", a.conj(), b.conj(), x)
-        runs = _run_state_dependent(
-            PureState._fresh((d1,), a), PureState._fresh((d2,), b), deriv.first, deriv.second, model
-        )
-    del x, mass  # the run below is where memory peaks; the scheme keeps what it reads
+        l1, l2 = np.divmod(levels, d2)
+        top = np.take_along_axis(levels, np.argmax(mass, axis=1)[:, None], axis=1)
+        col, row = valid & (l2 == top % d2), valid & (l1 == top // d2)
+        a, b = np.zeros((len(x), d1), dtype=complex), np.zeros((len(x), d2), dtype=complex)
+        for vec, on, at_level in ((a, col, l1), (b, row, l2)):
+            vec[on.nonzero()[0], at_level[on]] = x[on]
+            vec /= np.linalg.norm(vec, axis=1, keepdims=True)
+        ab = np.take_along_axis(a, l1, axis=1) * np.take_along_axis(b, l2, axis=1) * valid
+        scale = np.einsum("we,we->w", ab.conj(), x)
+        _check_discard(x - scale[:, None] * ab, 1)
+        runs = schemes._run_state_dependent(PureState._fresh((d1,), a), PureState._fresh((d2,), b),
+                                            t1, t2, BsmModel.linear_optics())
+    del mass  # the run below is where memory peaks; the scheme keeps what it reads
 
-    done = 0
-    # the scheme hands its words back a slice at a time; each is written
-    # into place and dropped before the next one runs, since an output is
-    # a view that keeps every branch of its slice alive
-    for amps in map(attrgetter("output.amps"), runs):
-        at = np.unravel_index(live[done : done + len(amps)], moved.shape[:-2])
-        moved[at] = amps * scale[done : done + len(amps), None, None]
-        done += len(amps)
-        del amps
-    return reg
+    lo = 0
+    for res in runs:  # each slice is written into place and dropped before the next one runs
+        out, hi = res.output.amps, lo + len(res.output.amps)
+        if backend == "state-dependent":
+            out = np.take_along_axis(out.reshape(len(out), -1), levels[lo:hi], axis=1) * valid[lo:hi]
+        x[lo:hi] = out * scale[lo:hi, None]
+        lo = hi
+        del res, out
+    if others:
+        amps.reshape(-1)[at] = x[which, pos]
+    return amps
 
 
 def simulate_compressed(
@@ -427,26 +442,21 @@ def simulate_compressed(
     two-group gate would be executed, so the state-dependent backend
     refuses circuits whose gate order makes its ancillas unpreparable.
 
-    The words run together, one gate at a time, on one dense register of
-    shape (words, d_1, ..., d_k), one axis per group in layout order, so the
-    groups may entangle. Every `h`, and every dense gate (a local gate on
-    any backend, every gate on `uncompressed` and `standard`), runs in place
-    on the register's qubit view: a z-kind negates the block where all its
-    operands are 1, and an x-kind, whose Hadamard sandwich H·S·H is the
-    multi-controlled flip, swaps its target's halves of the block where its
-    controls are 1. Only a scheme crossing keeps the sandwich, since the
-    scheme realizes the diagonal core; the scheme backends run it once per
-    crossing and word chunk, and write its output back into the rows of the
-    register it read (`_scheme_crossing`). A chunk holds as many amplitudes
-    as all words' widest per-word state (the group registers side by side,
-    or a crossing's d1·d2 product), so two groups with a crossing run in one
-    chunk while more groups, whose register grows as 4^n, run in several.
+    Each word is kept as its support, so the groups may entangle: `codes`
+    and `amps`, both (words, s) for the widest support s, a code being the
+    groups' levels side by side, first group most significant; padding
+    holds amplitude 0 and a negative code. A dense gate (a local gate on
+    any backend, every gate on `uncompressed` and `standard`) flips an
+    x-kind's target bit where all control bits are set, or negates a
+    z-kind's amplitudes where all operand bits are; only a scheme crossing
+    keeps an x-kind's Hadamard sandwich, the scheme being the diagonal
+    core. A word reads out at its largest squared modulus.
 
     Errors come in a fixed order. Before any gate runs, the state-dependent
     backend refuses a circuit with a second gate over more than one group,
-    and then a gate over three groups raises ValueError. After every chunk
-    has run every gate, a word that does not end on a computational basis
-    word raises CompressionError.
+    and then a gate over three groups raises ValueError. After every gate
+    has run, a word that does not end on a computational basis word raises
+    CompressionError.
     """
     import numpy as np
 
@@ -459,42 +469,35 @@ def simulate_compressed(
             "no router ancilla can be matched to its input")
     # a gate over three groups raises here
     crossings = {i: trigger_sets(circuit.gates[i], layout) for i in spans}
-    n, dims = circuit.qubit_count, layout.dims
-    # each qubit's axis in the (words, 2, ..., 2) view, first-listed most significant
-    axis = {q: i for i, q in enumerate(q for group in layout.groups for q in group)}
-    order = list(axis)
+    n = circuit.qubit_count
+    order = [q for group in layout.groups for q in group]
+    bit = {q: 1 << (n - 1 - i) for i, q in enumerate(order)}
     shifts = np.arange(n - 1, -1, -1)
     words = list(itertools.product((0, 1), repeat=n))
-    # word w holds qubit q's bit at w >> (n - 1 - q); its level reads them in `order`
-    codes = (np.arange(len(words))[:, None] >> shifts[order] & 1) @ (1 << shifts)
-    # a chunk of `step` words holds step·2^n amplitudes, as many as all 2^n
-    # words' widest per-word state
-    step = max([sum(dims)] + [dims[d.groups[0]] * dims[d.groups[1]] for d in crossings.values()])
+    # word w holds qubit q's bit at w >> (n - 1 - q); its code reads them in `order`
+    codes = (np.arange(len(words))[:, None] >> shifts[order] & 1) @ (1 << shifts)[:, None]
+    amps = np.ones(codes.shape, dtype=complex)
 
-    levels, peaks = [], []
-    for lo in range(0, len(words), step):
-        chunk = codes[lo : lo + step]
-        reg = np.zeros((len(chunk),) + dims, dtype=complex)
-        reg.reshape(len(chunk), -1)[np.arange(len(chunk)), chunk] = 1.0
-        for i, gate in enumerate(circuit.gates):
-            if gate.kind == "h":
-                reg = _hadamard(reg, n, axis[gate.operands[0]])
-            elif i not in crossings or backend in ("uncompressed", "standard"):
-                reg = _gate(reg, n, [axis[q] for q in gate.operands], "x" if gate.is_x_kind else "z")
-            else:
-                if gate.is_x_kind:
-                    reg = _hadamard(reg, n, axis[gate.target])
-                reg = _scheme_crossing(reg, crossings[i], backend)
-                if gate.is_x_kind:
-                    reg = _hadamard(reg, n, axis[gate.target])
-        flat = np.abs(reg.reshape(len(chunk), -1))
-        levels.append(np.argmax(flat, axis=1))
-        peaks.append(flat[np.arange(len(chunk)), levels[-1]])
+    for i, gate in enumerate(circuit.gates):
+        mask = sum(bit[q] for q in gate.operands)
+        target = bit[gate.target] if gate.is_x_kind else 0
+        if gate.kind == "h":
+            codes, amps = _hadamard(codes, amps, mask)
+        elif i in crossings and backend not in ("uncompressed", "standard"):
+            codes, amps = _hadamard(codes, amps, target) if target else (codes, amps)
+            amps = _crossing(codes, amps, layout, crossings[i], backend)
+            codes, amps = _hadamard(codes, amps, target) if target else (codes, amps)
+        elif target:
+            np.bitwise_xor(codes, target, out=codes, where=(codes & mask - target) == mask - target)
+        else:
+            np.negative(amps, out=amps, where=(codes & mask) == mask)
 
-    if np.any(np.abs(np.concatenate(peaks) - 1.0) > _READOUT_ATOL):
+    mass = amps.real**2 + amps.imag**2
+    top = np.argmax(mass, axis=1)
+    rows = np.arange(len(words))
+    if np.any(np.abs(np.sqrt(mass[rows, top]) - 1.0) > _READOUT_ATOL):
         raise CompressionError("final state is not a computational basis word")
-    out = np.empty((len(words), n), dtype=int)
-    out[:, order] = (np.concatenate(levels)[:, None] >> shifts) & 1
+    out = (codes[rows, top][:, None] >> shifts[np.argsort(order)]) & 1
     return dict(zip(words, map(tuple, out.tolist())))
 
 

@@ -82,8 +82,8 @@ class SchemeResult:
     ancilla_count: int
     nonlocal_gate_count: int
     branches: tuple[BranchOutcome, ...] = field(repr=False)
-    # the flagged register's amplitudes, from the slice's input and flags
-    _flagged: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    # the flagged register, from the slice's input and flags
+    _flagged: Callable[[], PureState] = field(repr=False, compare=False)
 
     @property
     def success_probability_float(self) -> float:
@@ -93,8 +93,7 @@ class SchemeResult:
     def resource_state(self) -> PureState:
         """The (d1, d2, 2, 2) flagged register the fusion measured, each
         register beside its flag qubit, built on its first read."""
-        amps = self._flagged()
-        return PureState._fresh(amps.shape[-4:], amps)
+        return self._flagged()
 
 
 def _require_unit(state: PureState, message: str) -> float | np.ndarray:
@@ -126,15 +125,15 @@ def _by_slice(
     `per_word` is the scheme's working memory for one word, in amplitudes:
     every array a slice has live at once, the SchemeResult it yields
     included. A slice holds as many words as fit it within the larger of
-    the batch's (words, d1, d2) product register, the one the dense
-    backends build, and 2^16 amplitudes; an unbatched input is one slice.
-    Every check reports the lowest failing word of its slice.
+    the batch's register, its words times its states' dims, and 2^16
+    amplitudes; an unbatched input is one slice. Every check reports the
+    lowest failing word of its slice.
     """
-    if not states[0].batch:
+    (words,) = states[0].batch or (1,)
+    step = max(1, max(words * math.prod(s.dim for s in states), _SLICE_FLOOR) // per_word)
+    if step >= words:
         yield run(*states, *columns)
         return
-    words, d1d2 = states[0].batch[0], math.prod(s.dim for s in states)
-    step = max(1, max(words * d1d2, _SLICE_FLOOR) // per_word)
     for lo in range(0, words, step):
         yield run(
             *(PureState._fresh(s.dims, s.amps[lo : lo + step]) for s in states),
@@ -142,32 +141,27 @@ def _by_slice(
         )
 
 
-def _bits(triggers: TriggerSet) -> np.ndarray:
-    """The register's flag value per level: 1 on its trigger levels."""
-    bits = np.zeros(triggers.dim, dtype=np.intp)
-    bits[list(triggers.indices)] = 1
-    return bits
-
-
-def _on_levels(table: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """A per-label table over the two flags' values, (h, 2, 2), laid out on
-    the registers' levels by their flag bits: (h, d1, d2), C-ordered. The
-    fancy index alone leaves the label axis innermost, and every stack
-    multiplied by it would inherit that, each branch a strided view."""
-    return np.ascontiguousarray(table[:, b1[:, None], b2])
+def _on_levels(table: np.ndarray, at: np.ndarray, ndims: int) -> np.ndarray:
+    """A per-label table over a grid, (h, ...), read at flat grid indices
+    `at` of shape (..., register axes), `ndims` of them: (..., h, register
+    axes), C-ordered, so each label's block of a stack stays contiguous."""
+    flat = table.reshape(len(table), -1)
+    if at.ndim == ndims:  # one grid for every word: the label axis leads
+        return flat.take(at, axis=1)
+    return flat[np.arange(len(flat))[:, None], at[..., None, :]]
 
 
 @dataclass
 class _Tail:
-    """The fusion tail's constants, built once per core call: each
-    register's flag bits, the heralded labels' bras over the flags
-    (h, 2, 2) and their sign corrections laid out on the registers
-    (h, d1, d2), C-ordered, the exact success and the share of it that is
+    """The fusion tail's constants, built once per core call: both flags'
+    values per level pair, 2·f1 + f2 (d1, d2), the heralded labels' bras
+    over the flags (h, 2, 2) and their sign corrections laid out on the
+    registers (h, d1, d2), the exact success and the share of it that is
     simulated, and the counts."""
 
     scheme: str
     model: BsmModel
-    bits: tuple[np.ndarray, np.ndarray]
+    flags: np.ndarray
     bras: np.ndarray
     signs: np.ndarray
     expected: Fraction
@@ -179,8 +173,9 @@ class _Tail:
     @classmethod
     def build(cls, scheme: str, t1: TriggerSet, t2: TriggerSet, model: BsmModel) -> "_Tail":
         heralded = _heralded(model)
-        b1, b2 = _bits(t1), _bits(t2)
-        signs = _on_levels(_CORRECTIONS[heralded], b1, b2)
+        b1, b2 = np.bincount(t1.indices, minlength=t1.dim), np.bincount(t2.indices, minlength=t2.dim)
+        flags = 2 * b1[:, None] + b2
+        signs = _on_levels(_CORRECTIONS[heralded], flags, 2)
         expected = success_probability(scheme, len(t1), len(t2), model)
         simulated, ancillas, gates = expected, 2, 1
         if scheme == "state-independent":
@@ -191,41 +186,43 @@ class _Tail:
             from_formula = Fraction(len(heralded), 16) ** k
             simulated = expected / from_formula if from_formula else expected
             ancillas, gates = 2 * k + 2, k
-        return cls(scheme, model, (b1, b2), _FUSION[heralded], signs, expected, simulated,
+        return cls(scheme, model, flags, _FUSION[heralded], signs, expected, simulated,
                    float(simulated), ancillas, gates)
 
 
-def _fuse_words(d1: int, d2: int, model: BsmModel) -> int:
-    """Amplitudes per word live at once in the fusion tail: one conditional
-    state per heralded outcome and its corrected branch (d1·d2 each), plus
+def _fuse_words(size: int, model: BsmModel) -> int:
+    """Amplitudes per word of `size` live at once in the fusion tail: one
+    conditional state per heralded outcome and its corrected branch, plus
     the word's probabilities and masks (8). While the analyzer runs, its
-    modulus buffer (half of h·d1·d2) stands where the branches will be."""
-    return 2 * len(model.heralds) * d1 * d2 + 8
+    modulus buffer (half of h·size) stands where the branches will be."""
+    return 2 * len(model.heralds) * size + 8
 
 
 def _fuse(
-    tail: _Tail, fronts: np.ndarray, mass, total, flagged: Callable[[], np.ndarray]
+    tail: _Tail, fronts: np.ndarray, mass, total, flagged: Callable, signs=None, ndims: int = 2
 ) -> SchemeResult:
     """The tail both schemes share: the Bell fusion of the two flag qubits
     from `fronts` (..., h, d1, d2), each heralded outcome's unnormalized
     conditional state, one stacked pass that normalizes and corrects them
     all, and the check of the simulation against the exact success.
+    `signs`, on `ndims` register axes, replaces the tail's own.
 
     `mass` is the simulated probability kept before the fusion, per word,
     and `total` the flagged register's squared norm. Times the heralded
     mass, `mass` must equal the tail's simulated share of the success.
     """
-    outcomes, heralded = _outcomes(fronts, 2, tail.model, total)
+    outcomes, heralded = _outcomes(fronts, ndims, tail.model, total)
     off = _first_off(mass * heralded, tail.target)
     if off is not None:
         raise ArithmeticError(
             f"simulated success {off!r} deviates from {tail.simulated} by more than "
             f"{PROBABILITY_ATOL}"
         )
-    corrected = fronts * tail.signs
+    corrected = fronts * (tail.signs if signs is None else signs)
     corrected.setflags(write=False)
     branches = tuple(
-        BranchOutcome(o.label, o.probability, PureState._fresh(o.state.dims, corrected[..., i, :, :]))
+        BranchOutcome(o.label, o.probability,
+                      PureState._fresh(o.state.dims, corrected[(..., i) + (slice(None),) * ndims]))
         for i, o in enumerate(outcomes[: len(tail.signs)])
         if o.state is not None
     )
@@ -239,12 +236,6 @@ def _fuse(
         branches=branches,
         _flagged=flagged,
     )
-
-
-def _flag_product(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """Two flagged registers (..., d, 2) as one C-ordered (d1, d2, f1, f2)
-    product."""
-    return g1[..., :, None, :, None] * g2[..., None, :, None, :]
 
 
 def run_state_dependent(
@@ -283,7 +274,7 @@ def _run_state_dependent(
     per_word = max(
         _route_words(d1, k1),
         _route_words(d2, k2) + 2 * d1,
-        _fuse_words(d1, d2, model) + 2 * (d1 + d2),
+        _fuse_words(d1 * d2, model) + 2 * (d1 + d2),
     )
 
     return _by_slice(
@@ -311,7 +302,8 @@ def _route_flag_fuse(
     g1, g2 = flag1.amps, flag2.amps
     fronts = (g1[..., None, :, :] @ tail.bras) @ g2[..., None, :, :].swapaxes(-2, -1)
     total = flag1.norm**2 * flag2.norm**2
-    return _fuse(tail, fronts, kept1 * kept2, total, lambda: _flag_product(g1, g2))
+    return _fuse(tail, fronts, kept1 * kept2, total, lambda: PureState._fresh(
+        (t1.dim, t2.dim, 2, 2), g1[..., :, None, :, None] * g2[..., None, :, None, :]))
 
 
 def _route_flag(psi: PureState, triggers: TriggerSet) -> tuple[PureState, np.ndarray]:
@@ -381,17 +373,18 @@ def run_state_independent_joint(
 
 
 def _run_state_independent(
-    joint: PureState, c1, c2, mode: str, model: BsmModel
+    joint: PureState, c1, c2, mode: str, model: BsmModel, levels: np.ndarray | None = None
 ) -> Iterator[SchemeResult]:
     """The flag-ladder scheme on a batch of two-register inputs, one word
     per entry of the leading axis. Yields one SchemeResult per slice of
-    words."""
-    if len(joint.dims) != 2:
+    words. With `levels` (words, e), a word is a support: e entries, dims
+    (e,), at level pairs l1·d2 + l2, and c1, c2 are trigger sets."""
+    if levels is None and len(joint.dims) != 2:
         raise ValueError(f"need a two-register state, got dims {joint.dims}")
+    d1, d2 = joint.dims if levels is None else (c1.dim, c2.dim)
     norm = _require_unit(joint, "input is not normalized")
     if mode not in ("fast", "faithful"):
         raise ValueError(f"unknown mode {mode!r}")
-    d1, d2 = joint.dims
     t1 = _as_trigger_set(c1, d1)
     t2 = _as_trigger_set(c2, d2)
 
@@ -406,24 +399,28 @@ def _run_state_independent(
     # signs s, leaves it ((1+s)|0> + (1-s)|1>)/2: exactly |1> on the trigger
     # levels and |0> elsewhere. So outcome b's conditional state is the input
     # times bra_b at both flags' values, one (d1, d2) coefficient per label
-    coeffs = _on_levels(tail.bras, *tail.bits)
+    coeffs = _on_levels(tail.bras, tail.flags, 2)
 
-    # the fusion tail alone: the ladder builds no register of its own
+    # the fusion tail, beside its corrections read at the entries (real): no register of its own
     return _by_slice(
-        lambda joint, total: _ladder_fuse(joint, total, coeffs, tail),
+        lambda joint, total, *levels: _ladder_fuse(joint, total, coeffs, tail, *levels),
         [joint],
-        _fuse_words(d1, d2, model),
+        _fuse_words(joint.dim, model) + len(model.heralds) * joint.dim // 2,
         norm**2,
+        *(() if levels is None else (levels,)),
     )
 
 
-def _ladder_fuse(joint: PureState, total, coeffs: np.ndarray, tail: _Tail) -> SchemeResult:
-    x = joint.amps
+def _ladder_fuse(joint: PureState, total, coeffs, tail: _Tail, levels=None) -> SchemeResult:
+    # a dense word reads the (h, d1, d2) tables at its whole grid, a support at its entries
+    x, ndims = joint.amps, len(joint.dims)
+    at = (lambda table: table) if levels is None else (lambda table: _on_levels(table, levels, 1))
 
-    def flagged() -> np.ndarray:
-        # each word beside both flags' 0/1 states
-        b1, b2 = tail.bits
-        return x[..., None, None] * _flag_product(np.eye(2)[b1], np.eye(2)[b2])
+    def flagged() -> PureState:  # each entry beside both flags' 0/1 states
+        flags = tail.flags if levels is None else tail.flags.ravel()[levels]
+        amps = x[..., None, None] * np.eye(4).reshape(4, 2, 2)[flags]
+        return PureState._fresh(joint.dims + (2, 2), amps)
 
     # the ladder's sign gates keep the whole mass
-    return _fuse(tail, x[..., None, :, :] * coeffs, 1.0, total, flagged)
+    fronts = x[(..., None) + (slice(None),) * ndims] * at(coeffs)
+    return _fuse(tail, fronts, 1.0, total, flagged, at(tail.signs), ndims)

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qompress import compress, mcz, schemes
@@ -59,6 +59,33 @@ ADDER_TABLE = {
 def benchmark_circuit() -> CircuitIR:
     # one doubly controlled flip spanning the two groups of the adder layout
     return CircuitIR(4, (Gate("ccx", (1, 2, 3)),))
+
+
+def random_supports(rng: np.random.Generator, words: int, n: int, width: int):
+    """Random (codes, amps) supports of n-qubit words, `width` wide: each
+    word holds 1 to `width` distinct random codes with unit-norm random
+    amplitudes, and padding (code -1, amplitude 0) in its other slots."""
+    codes = np.full((words, width), -1)
+    amps = np.zeros((words, width), dtype=complex)
+    for w in range(words):
+        k = int(rng.integers(1, width + 1))
+        at = rng.permutation(width)[:k]
+        codes[w, at] = rng.choice(2**n, size=k, replace=False)
+        x = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        amps[w, at] = x / np.linalg.norm(x)
+    return codes, amps
+
+
+def dense_rows(codes: np.ndarray, amps: np.ndarray, n: int) -> np.ndarray:
+    """Supports as dense (words, 2^n) rows, after checking that each word's
+    codes are distinct and that its padding holds amplitude 0."""
+    valid = codes >= 0
+    for row in codes:
+        assert len(set(row[row >= 0].tolist())) == np.count_nonzero(row >= 0)
+    assert not amps[~valid].any()
+    dense = np.zeros((len(codes), 2**n), dtype=complex)
+    dense[np.nonzero(valid)[0], codes[valid]] = amps[valid]
+    return dense
 
 
 class TestOracleSelfConsistency:
@@ -481,7 +508,7 @@ class TestSimulation:
 
     @pytest.mark.parametrize("backend", ["uncompressed", "standard"])
     def test_crossing_sign_multiply_equals_dense_gate(self, monkeypatch, backend):
-        # a random register enters the crossing; its output must equal the
+        # random supports enter the crossing; its output must equal the
         # dense gate's apply exactly (IEEE equality, so the sign of a zero
         # does not count)
         rng = np.random.default_rng(113)
@@ -489,12 +516,13 @@ class TestSimulation:
         class Stop(Exception):
             pass
 
-        def hadamard(reg, n, axis):
+        def hadamard(codes, amps, bit):
+            n = layout.qubit_count
             if "in" in seen:
-                seen["out"] = reg
+                seen["out"] = dense_rows(codes, amps, n)
                 raise Stop
-            seen["in"] = rng.standard_normal(reg.shape) + 1j * rng.standard_normal(reg.shape)
-            return seen["in"].copy()
+            seen["in"] = random_supports(rng, len(codes), n, 2**n // 2)
+            return tuple(x.copy() for x in seen["in"])
 
         monkeypatch.setattr(compress, "_hadamard", hadamard)
         for layout, gate in [
@@ -513,10 +541,10 @@ class TestSimulation:
             dense = apply(
                 multi_level_cz(deriv.first.dim, deriv.second.dim, deriv.first, deriv.second)
                 .on(*deriv.groups),
-                PureState(layout.dims, seen["in"]),
+                PureState(layout.dims, dense_rows(*seen["in"], layout.qubit_count)
+                          .reshape((-1,) + layout.dims)),
             )
-            assert seen["in"].shape[1:] == layout.dims
-            assert np.array_equal(seen["out"], dense.amps)
+            assert np.array_equal(seen["out"], dense.amps.reshape(len(seen["out"]), -1))
 
     # (layout, gate): each kind with its target in either group in turn
     X_KINDS = [(layout, Gate(kind, operands)) for layout, gates in [
@@ -551,31 +579,30 @@ class TestSimulation:
         if backend not in schemes.SCHEMES or len({layout.group_of(q) for q in gate.operands}) == 1
     ])
     def test_dense_x_kind_equals_its_hadamard_sandwich(self, monkeypatch, backend, layout, gate):
-        # a random register enters the gate; it must come out as the dense
-        # H·S·H applied to it, with no Hadamard run in between
+        # random supports enter the gate; they must come out as the dense
+        # H·S·H applied to them, with no Hadamard run in between
         rng = np.random.default_rng(127)
+        n = layout.qubit_count
         seen = {}
 
         class Stop(Exception):
             pass
 
-        def hadamard(reg, n, axis):
+        def hadamard(codes, amps, bit):
             if "in" in seen:
-                seen["out"] = reg
+                seen["out"] = dense_rows(codes, amps, n)
                 raise Stop
-            x = rng.standard_normal(reg.shape) + 1j * rng.standard_normal(reg.shape)
-            seen["in"] = x / np.linalg.norm(x.reshape(len(x), -1), axis=1).reshape(
-                (-1,) + (1,) * (x.ndim - 1)
-            )
-            return seen["in"].copy()
+            seen["in"] = random_supports(rng, len(codes), n, 2**n // 2)
+            return tuple(x.copy() for x in seen["in"])
 
         monkeypatch.setattr(compress, "_hadamard", hadamard)
-        circuit = CircuitIR(layout.qubit_count, (Gate("h", (0,)), gate, Gate("h", (0,))))
+        circuit = CircuitIR(n, (Gate("h", (0,)), gate, Gate("h", (0,))))
         with pytest.raises(Stop):
             simulate_compressed(circuit, layout, backend)
-        dense = apply(self.hadamard_sandwich(gate, layout), PureState(layout.dims, seen["in"]))
-        assert seen["out"].shape == dense.amps.shape
-        np.testing.assert_allclose(seen["out"], dense.amps, rtol=0, atol=1e-15)
+        dense = apply(self.hadamard_sandwich(gate, layout),
+                      PureState(layout.dims, dense_rows(*seen["in"], n).reshape((-1,) + layout.dims)))
+        np.testing.assert_allclose(seen["out"], dense.amps.reshape(len(seen["out"]), -1),
+                                   rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_hadamards_run_for_h_and_scheme_crossings_only(self, monkeypatch, backend):
@@ -588,9 +615,9 @@ class TestSimulation:
         ))
         axes = []
 
-        def hadamard(reg, n, axis, _real=compress._hadamard):
-            axes.append(axis)
-            return _real(reg, n, axis)
+        def hadamard(codes, amps, bit, _real=compress._hadamard):
+            axes.append(4 - bit.bit_length())  # the qubit's place in layout order
+            return _real(codes, amps, bit)
 
         monkeypatch.setattr(compress, "_hadamard", hadamard)
         table = simulate_compressed(circuit, layout, backend)
@@ -765,6 +792,11 @@ def entangling_grouped_circuits(draw):
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(entangling_grouped_circuits())
+# every word spreads over all 64 codes and crosses twice at full support;
+# state-dependent refuses the second crossing
+@example((CircuitIR(6, tuple(Gate("h", (q,)) for q in range(6)) + (Gate("cz", (0, 5)),) * 2
+                    + tuple(Gate("h", (q,)) for q in range(6))),
+          QuditLayout(((0, 1, 2), (3, 4, 5)))))
 def test_every_backend_matches_a_plain_qubit_state_vector(case):
     circuit, layout = case
     want = reference_table(circuit)
@@ -819,20 +851,26 @@ class TestDenseRegister:
         (QuditLayout(((0, 1), (2, 3), (4, 5))), Gate("ccz", (0, 1, 5))),
     ], ids=["last-axes", "spectator"])
     def test_scheme_crossing_writes_into_its_register(self, backend, layout, gate):
-        # each slice's output lands in the rows it was read from: the
-        # crossing hands back the register it was given, still C-ordered,
-        # holding the dense gate's output
+        # each slice's output lands in the entries it was read from: the
+        # crossing writes into the amplitudes it was given, on the same
+        # codes, the dense gate's output
         rng = np.random.default_rng(197)
         parts = [random_state((4,), rng).amps * np.ones((3, 1)) for _ in layout.groups]
         parts[1][:, 2] = 0.0
         reg = functools.reduce(lambda a, b: (a[..., None] * b[:, None, :]).reshape(3, -1), parts)
-        reg = reg.reshape((3,) + layout.dims)
         deriv = trigger_sets(gate, layout)
         want = apply(multi_level_cz(deriv.first.dim, deriv.second.dim, deriv.first, deriv.second)
-                     .on(*deriv.groups), PureState(layout.dims, reg)).amps
-        out = compress._scheme_crossing(reg, deriv, backend)
-        assert out is reg and reg.flags.c_contiguous
-        np.testing.assert_allclose(reg, want, rtol=0, atol=1e-14)
+                     .on(*deriv.groups), PureState(layout.dims, reg.reshape((3,) + layout.dims)))
+        want = want.amps.reshape(3, -1)
+        # each word's support: its nonzero levels, so the zero level is no entry
+        width = np.count_nonzero(reg[0])
+        codes = np.flatnonzero(reg[0]) * np.ones((3, 1), dtype=int)
+        amps = reg[:, reg[0] != 0].copy()
+        assert width < reg.shape[1] and np.count_nonzero(reg) == 3 * width
+        out = compress._crossing(codes, amps, layout, deriv, backend)
+        assert out is amps
+        np.testing.assert_allclose(dense_rows(codes, out, layout.qubit_count), want,
+                                   rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_one_register_alive(self, backend):
@@ -861,21 +899,43 @@ class TestDenseRegister:
 
 
 class TestButterflyHadamard:
-    """The private in-place Hadamard on one qubit axis is a sum and a
-    difference of the axis's two halves; the public apply(hadamard().on(i),
-    ...) is its reference."""
+    """The support form's `h` splits each entry into its two codes, adds
+    the two that land on one code and drops what cancels; the public
+    apply(hadamard().on(i), ...) on the dense state is its reference."""
 
-    @pytest.mark.parametrize("batch", [(), (5,), (3, 2)], ids=["single", "batch", "two-axes"])
-    def test_matches_apply_on_every_qubit_axis(self, batch):
+    @pytest.mark.parametrize("width, sliced", [(8, False), (3, False), (3, True)],
+                             ids=["full", "sparse", "sliced"])
+    def test_matches_apply_on_every_qubit_axis(self, monkeypatch, width, sliced):
+        if sliced:
+            # without the slice floor every word is a slice of its own, and
+            # the slices' supports differ in width
+            monkeypatch.setattr(schemes, "_SLICE_FLOOR", 0)
         rng = np.random.default_rng(131)
-        dims = (2, 2, 2)
-        amps = rng.standard_normal(batch + dims) + 1j * rng.standard_normal(batch + dims)
-        state = PureState(dims, amps)
-        for sub in range(len(dims)):
-            want = apply(hadamard().on(sub), state).amps
-            got = compress._hadamard(state.amps.copy(), len(dims), sub)
-            assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15, err_msg=str(sub))
+        n, words = 3, 5
+        codes, amps = random_supports(rng, words, n, width)
+        state = PureState((2,) * n, dense_rows(codes, amps, n).reshape((words,) + (2,) * n))
+        for sub in range(n):
+            bit = 1 << (n - 1 - sub)
+            want = apply(hadamard().on(sub), state).amps.reshape(words, -1)
+            got = compress._hadamard(codes.copy(), amps.copy(), bit)
+            np.testing.assert_allclose(dense_rows(*got, n), want, rtol=0, atol=1e-15,
+                                       err_msg=str(sub))
+            # the second h merges every pair back and drops what cancels:
+            # each word ends on its own entries
+            back = compress._hadamard(*got, bit)
+            np.testing.assert_allclose(dense_rows(*back, n), state.amps.reshape(words, -1),
+                                       rtol=0, atol=1e-15)
+            assert np.count_nonzero(back[0] >= 0) == np.count_nonzero(codes >= 0)
+
+    def test_cancelled_mass_is_checked(self, monkeypatch):
+        # an entry below the cutoff leaves only if its word loses no more
+        # than the truncation bound
+        codes = np.array([[0, 1]])
+        amps = np.array([[1.0, 1e-10]], dtype=complex) / np.sqrt(1 + 1e-20)
+        assert compress._hadamard(*compress._hadamard(codes, amps, 1), 1)[0].shape == (1, 2)
+        monkeypatch.setattr(compress, "_SUPPORT_CUTOFF", 1e-9)
+        with pytest.raises(ValueError, match="discard amplitude mass"):
+            compress._hadamard(*compress._hadamard(codes, amps, 1), 1)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
