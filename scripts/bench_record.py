@@ -17,6 +17,10 @@ commits unpacked into two directories). The script runs
   twice and `h` on each qubit again, on the same two backends, in
   `CHAIN_PAIRS` pairs per case: every word spreads over all 4096 codes
   and crosses twice at full support;
+- `sd_crossing_12`: `ccx(0, 1, 2)`, `ccx(3, 4, 6)` and `ccx(7, 8, 9)` on
+  12 qubits in groups (0..5) and (6..11) with the `state-dependent`
+  backend, in `CHAIN_PAIRS` pairs: one router crossing over all 4096
+  words;
 - `cost_report` on one `cx` across a w-qubit group and a 2-qubit group,
   w = 14 to 20, wall time and peak RSS, one process per side and point;
 - `qompress verify --trials 1` with both schemes at d1 = 2^10, 2^14, 2^17
@@ -91,6 +95,25 @@ table = simulate_compressed(circuit, layout, backend)
 wall = time.perf_counter() - t0
 assert all(word == out for word, out in table.items())
 print(json.dumps({"qubits": n, "backend": backend, "wall_s": wall,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+SD_CROSSING = """
+import json, resource, time
+import numpy
+from qompress.compress import CircuitIR, Gate, QuditLayout, simulate_compressed
+ccx = ((0, 1, 2), (3, 4, 6), (7, 8, 9))
+circuit = CircuitIR(12, tuple(Gate("ccx", g) for g in ccx))
+layout = QuditLayout((tuple(range(6)), tuple(range(6, 12))))
+t0 = time.perf_counter()
+table = simulate_compressed(circuit, layout, "state-dependent")
+wall = time.perf_counter() - t0
+for word, out in table.items():
+    bits = list(word)
+    for a, b, t in ccx:
+        bits[t] ^= bits[a] & bits[b]
+    assert tuple(bits) == out
+print(json.dumps({"qubits": 12, "backend": "state-dependent", "wall_s": wall,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
@@ -277,6 +300,7 @@ def main(argv=None) -> int:
     record["ccx_chain_12"] = alternated(sides, "ccx_chain_12", CHAIN, CHAIN_CASES, CHAIN_PAIRS)
     record["h_sandwich_12"] = alternated(sides, "h_sandwich_12", H_SANDWICH,
                                          [(b,) for b in BACKENDS], CHAIN_PAIRS)
+    record["sd_crossing_12"] = alternated(sides, "sd_crossing_12", SD_CROSSING, [()], CHAIN_PAIRS)
     record["wide_cx_pricing"] = alternated(sides, "wide_cx_pricing", WIDE_PRICING,
                                            [(w,) for w in range(14, 21)])
     record["verify_scaling"] = alternated(

@@ -281,12 +281,8 @@ def _claim_eq(name: str, expected, computed) -> Claim:
     return Claim(name, str(expected), str(computed), str(expected) == str(computed))
 
 
-def run_claims(seed: int, heralds: frozenset[str] | None = None) -> list[Claim]:
-    """Every numeric claim in one battery.
-
-    `heralds` overrides the passive analyzer's herald set; it exists so a
-    deliberately wrong analyzer makes the probability claims fail.
-    """
+def run_claims(seed: int) -> list[Claim]:
+    """Every numeric claim in one battery."""
     import numpy as np
 
     from .mcz import multi_level_cz, prepare_ancillas
@@ -301,7 +297,7 @@ def run_claims(seed: int, heralds: frozenset[str] | None = None) -> list[Claim]:
     from .schemes import run_state_dependent, run_state_independent_joint, verified_two_level_cz
 
     rng = np.random.default_rng(seed)
-    model_lo = BsmModel.linear_optics(heralds=heralds)
+    model_lo = BsmModel.linear_optics()
     claims: list[Claim] = []
 
     # gate structure

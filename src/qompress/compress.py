@@ -287,6 +287,12 @@ class CostReport:
         raise KeyError(backend)
 
 
+def _no_router_ancilla(gate: int) -> str:
+    """Why the state-dependent backend refuses a circuit, at its second two-group gate."""
+    return (f"gate {gate} follows an earlier two-group gate, so its input "
+            "marginals are unknown and no router ancilla can be prepared")
+
+
 def cost_report(circuit: CircuitIR, layout: QuditLayout) -> CostReport:
     """The four backend rows, priced from operand masks alone: no trigger level is listed."""
     unc_count, spans = 0, []
@@ -310,9 +316,7 @@ def cost_report(circuit: CircuitIR, layout: QuditLayout) -> CostReport:
         si_prob *= success_probability("state-independent", 2**r1, 2**r2) ** count
 
     sd_count = len(crossings)
-    reason = None if sd_count < 2 else (
-        f"gate {crossings[1][0]} follows an earlier two-group gate, so its input "
-        "marginals are unknown and no router ancilla can be prepared")
+    reason = None if sd_count < 2 else _no_router_ancilla(crossings[1][0])
     rows = (
         BackendCost("uncompressed", unc_count, Fraction(1, 9) ** unc_count, 0, True),
         BackendCost("standard", std_count, Fraction(1, 9) ** std_count, 0, True),
@@ -375,9 +379,9 @@ def _crossing(codes, amps, layout: QuditLayout, deriv: TriggerDerivation, backen
     entries of a word that agree off the crossing's groups form a slice, a
     (d1, d2) state on level pairs l1·d2 + l2: a word's own codes with two
     groups, else a gathered row padded by level -1. A slice c·ψ enters as
-    the unit ψ, all in one core call, and leaves as c·Uψ; the router reads
-    ψ as a bᵀ through its largest entry, checking the residual as a
-    truncation."""
+    the unit ψ, all in one core call that returns Uψ at the slice's
+    entries, and leaves as c·Uψ; the router reads ψ as a bᵀ through its
+    largest entry, checking the residual as a truncation."""
     import numpy as np
 
     from . import schemes
@@ -417,17 +421,15 @@ def _crossing(codes, amps, layout: QuditLayout, deriv: TriggerDerivation, backen
         scale = np.einsum("we,we->w", ab.conj(), x)
         _check_discard(x - scale[:, None] * ab, 1)
         runs = schemes._run_state_dependent(PureState._fresh((d1,), a), PureState._fresh((d2,), b),
-                                            t1, t2, BsmModel.linear_optics())
+                                            t1, t2, BsmModel.linear_optics(), levels)
     del mass  # the run below is where memory peaks; the scheme keeps what it reads
 
     lo = 0
     for res in runs:  # each slice is written into place and dropped before the next one runs
-        out, hi = res.output.amps, lo + len(res.output.amps)
-        if backend == "state-dependent":
-            out = np.take_along_axis(out.reshape(len(out), -1), levels[lo:hi], axis=1) * valid[lo:hi]
-        x[lo:hi] = out * scale[lo:hi, None]
+        hi = lo + len(res.output.amps)
+        x[lo:hi] = res.output.amps * scale[lo:hi, None]
         lo = hi
-        del res, out
+        del res
     if others:
         amps.reshape(-1)[at] = x[which, pos]
     return amps
@@ -464,9 +466,7 @@ def simulate_compressed(
         raise ValueError(f"unknown backend {backend!r}; pick one of {BACKENDS}")
     spans = [i for i, tag in enumerate(classify_gates(circuit, layout)) if not tag.local]
     if backend == "state-dependent" and len(spans) > 1:
-        raise CompressionError(
-            f"gate {spans[1]} follows an earlier two-group gate; "
-            "no router ancilla can be matched to its input")
+        raise CompressionError(_no_router_ancilla(spans[1]))
     # a gate over three groups raises here
     crossings = {i: trigger_sets(circuit.gates[i], layout) for i in spans}
     n = circuit.qubit_count

@@ -82,7 +82,7 @@ class SchemeResult:
     ancilla_count: int
     nonlocal_gate_count: int
     branches: tuple[BranchOutcome, ...] = field(repr=False)
-    # the flagged register, from the slice's input and flags
+    # the flagged register, from the slice's level-pair amplitudes and flags
     _flagged: Callable[[], PureState] = field(repr=False, compare=False)
 
     @property
@@ -142,9 +142,9 @@ def _by_slice(
 
 
 def _on_levels(table: np.ndarray, at: np.ndarray, ndims: int) -> np.ndarray:
-    """A per-label table over a grid, (h, ...), read at flat grid indices
-    `at` of shape (..., register axes), `ndims` of them: (..., h, register
-    axes), C-ordered, so each label's block of a stack stays contiguous."""
+    """A per-label table, (h, ...), read at flat indices `at` of shape
+    (..., register axes), `ndims` of them: (..., h, register axes),
+    C-ordered, so each label's block of a stack stays contiguous."""
     flat = table.reshape(len(table), -1)
     if at.ndim == ndims:  # one grid for every word: the label axis leads
         return flat.take(at, axis=1)
@@ -155,15 +155,14 @@ def _on_levels(table: np.ndarray, at: np.ndarray, ndims: int) -> np.ndarray:
 class _Tail:
     """The fusion tail's constants, built once per core call: both flags'
     values per level pair, 2·f1 + f2 (d1, d2), the heralded labels' bras
-    over the flags (h, 2, 2) and their sign corrections laid out on the
-    registers (h, d1, d2), the exact success and the share of it that is
-    simulated, and the counts."""
+    over the flags and their sign corrections, both (h, 2, 2), the exact
+    success and the share of it that is simulated, and the counts."""
 
     scheme: str
     model: BsmModel
     flags: np.ndarray
     bras: np.ndarray
-    signs: np.ndarray
+    corrections: np.ndarray
     expected: Fraction
     simulated: Fraction
     target: float
@@ -174,8 +173,8 @@ class _Tail:
     def build(cls, scheme: str, t1: TriggerSet, t2: TriggerSet, model: BsmModel) -> "_Tail":
         heralded = _heralded(model)
         b1, b2 = np.bincount(t1.indices, minlength=t1.dim), np.bincount(t2.indices, minlength=t2.dim)
-        flags = 2 * b1[:, None] + b2
-        signs = _on_levels(_CORRECTIONS[heralded], flags, 2)
+        # int8: a support's flags are read at its entries and kept beside them
+        flags = (2 * b1[:, None] + b2).astype(np.int8)
         expected = success_probability(scheme, len(t1), len(t2), model)
         simulated, ancillas, gates = expected, 2, 1
         if scheme == "state-independent":
@@ -186,31 +185,38 @@ class _Tail:
             from_formula = Fraction(len(heralded), 16) ** k
             simulated = expected / from_formula if from_formula else expected
             ancillas, gates = 2 * k + 2, k
-        return cls(scheme, model, flags, _FUSION[heralded], signs, expected, simulated,
-                   float(simulated), ancillas, gates)
+        return cls(scheme, model, flags, _FUSION[heralded], _CORRECTIONS[heralded],
+                   expected, simulated, float(simulated), ancillas, gates)
 
 
 def _fuse_words(size: int, model: BsmModel) -> int:
     """Amplitudes per word of `size` live at once in the fusion tail: one
-    conditional state per heralded outcome and its corrected branch, plus
-    the word's probabilities and masks (8). While the analyzer runs, its
-    modulus buffer (half of h·size) stands where the branches will be."""
-    return 2 * len(model.heralds) * size + 8
+    conditional state per heralded outcome and its corrected branch, the
+    corrections read at the flags (real, half of h·size), the flags (int8,
+    a sixteenth of size) and the word's probabilities and masks (8).
+    Before the branches exist, the bras read at the flags (h·size) and
+    then the analyzer's modulus buffer (half of it) stand where they will
+    be."""
+    h = len(model.heralds)
+    return 2 * h * size + h * size // 2 + size // 16 + 8
 
 
-def _fuse(
-    tail: _Tail, fronts: np.ndarray, mass, total, flagged: Callable, signs=None, ndims: int = 2
-) -> SchemeResult:
-    """The tail both schemes share: the Bell fusion of the two flag qubits
-    from `fronts` (..., h, d1, d2), each heralded outcome's unnormalized
-    conditional state, one stacked pass that normalizes and corrects them
-    all, and the check of the simulation against the exact success.
-    `signs`, on `ndims` register axes, replaces the tail's own.
+def _fuse(tail: _Tail, x: np.ndarray, mass, total, levels=None) -> SchemeResult:
+    """The tail both schemes share, from `x`, the flagged register's
+    amplitude at each level pair: (..., d1, d2) on the grid, or (words, e)
+    at a support's flat `levels` l1·d2 + l2. Both flags are fixed by the
+    level pair, so each heralded outcome's unnormalized conditional state
+    is x times its bra at the flags; one stacked pass normalizes them all,
+    each is multiplied by its correction at the flags, and the simulation
+    is checked against the exact success.
 
     `mass` is the simulated probability kept before the fusion, per word,
     and `total` the flagged register's squared norm. Times the heralded
     mass, `mass` must equal the tail's simulated share of the success.
     """
+    ndims = 2 if levels is None else 1
+    flags = tail.flags if levels is None else tail.flags.ravel()[levels]
+    fronts = x[(..., None) + (slice(None),) * ndims] * _on_levels(tail.bras, flags, ndims)
     outcomes, heralded = _outcomes(fronts, ndims, tail.model, total)
     off = _first_off(mass * heralded, tail.target)
     if off is not None:
@@ -218,14 +224,19 @@ def _fuse(
             f"simulated success {off!r} deviates from {tail.simulated} by more than "
             f"{PROBABILITY_ATOL}"
         )
-    corrected = fronts * (tail.signs if signs is None else signs)
+    corrected = fronts * _on_levels(tail.corrections, flags, ndims)
     corrected.setflags(write=False)
     branches = tuple(
         BranchOutcome(o.label, o.probability,
                       PureState._fresh(o.state.dims, corrected[(..., i) + (slice(None),) * ndims]))
-        for i, o in enumerate(outcomes[: len(tail.signs)])
+        for i, o in enumerate(outcomes[: len(tail.bras)])
         if o.state is not None
     )
+
+    def flagged() -> PureState:  # each level pair beside both flags' 0/1 states
+        amps = x[..., None, None] * np.eye(4).reshape(4, 2, 2)[flags]
+        return PureState._fresh(x.shape[x.ndim - ndims :] + (2, 2), amps)
+
     return SchemeResult(
         scheme=tail.scheme,
         output=branches[0].output if branches else None,
@@ -256,11 +267,12 @@ def run_state_dependent(
 
 
 def _run_state_dependent(
-    psi1: PureState, psi2: PureState, c1, c2, model: BsmModel
+    psi1: PureState, psi2: PureState, c1, c2, model: BsmModel, levels: np.ndarray | None = None
 ) -> Iterator[SchemeResult]:
     """The router scheme on a batch of product inputs: psi1 and psi2 carry
     one word per entry of their leading axis. Yields one SchemeResult per
-    slice of words."""
+    slice of words. With `levels` (words, e), a word's output is read at e
+    entries, dims (e,), at level pairs l1·d2 + l2, padding -1 reading 0."""
     for who, psi in (("psi1", psi1), ("psi2", psi2)):
         if len(psi.dims) != 1:
             raise ValueError(f"{who} must be a single register, got dims {psi.dims}")
@@ -269,16 +281,20 @@ def _run_state_dependent(
     t2 = _as_trigger_set(c2, psi2.dim)
     tail = _Tail.build("state-dependent", t1, t2, model)
     d1, d2, k1, k2 = t1.dim, t2.dim, len(t1), len(t2)
+    e = d1 * d2 if levels is None else levels.shape[-1]
     # a router beside nothing, the second one beside the first register's
-    # flag, then the fusion tail beside both flags (2 per level each)
+    # flag amplitudes, then the fusion tail beside both and their product
     per_word = max(
         _route_words(d1, k1),
-        _route_words(d2, k2) + 2 * d1,
-        _fuse_words(d1 * d2, model) + 2 * (d1 + d2),
+        _route_words(d2, k2) + d1,
+        _fuse_words(e, model) + d1 + d2 + e,
     )
 
     return _by_slice(
-        lambda psi1, psi2: _route_flag_fuse(psi1, psi2, t1, t2, tail), [psi1, psi2], per_word
+        lambda psi1, psi2, *levels: _route_flag_fuse(psi1, psi2, t1, t2, tail, *levels),
+        [psi1, psi2],
+        per_word,
+        *(() if levels is None else (levels,)),
     )
 
 
@@ -293,26 +309,30 @@ def _route_words(d: int, k: int) -> int:
 
 
 def _route_flag_fuse(
-    psi1: PureState, psi2: PureState, t1: TriggerSet, t2: TriggerSet, tail: _Tail
+    psi1: PureState, psi2: PureState, t1: TriggerSet, t2: TriggerSet, tail: _Tail, levels=None
 ) -> SchemeResult:
     # each register meets its own router and flag; the two first meet at
-    # the fusion, where each outcome's conditional state is the flags'
-    # product projected on its bra, flag1 · bra · flag2ᵀ
-    (flag1, kept1), (flag2, kept2) = _route_flag(psi1, t1), _route_flag(psi2, t2)
-    g1, g2 = flag1.amps, flag2.amps
-    fronts = (g1[..., None, :, :] @ tail.bras) @ g2[..., None, :, :].swapaxes(-2, -1)
-    total = flag1.norm**2 * flag2.norm**2
-    return _fuse(tail, fronts, kept1 * kept2, total, lambda: PureState._fresh(
-        (t1.dim, t2.dim, 2, 2), g1[..., :, None, :, None] * g2[..., None, :, None, :]))
+    # the fusion, which reads the flagged register as r1 ⊗ r2, the product
+    # of the registers' amplitudes, on the grid or at the entries
+    (r1, kept1), (r2, kept2) = _route_flag(psi1, t1), _route_flag(psi2, t2)
+    if levels is None:
+        x = r1.amps[..., :, None] * r2.amps[..., None, :]
+    else:
+        l1, l2 = np.divmod(levels, t2.dim)
+        x = np.take_along_axis(r1.amps, l1, axis=-1) * np.take_along_axis(r2.amps, l2, axis=-1)
+        x *= levels >= 0
+    return _fuse(tail, x, kept1 * kept2, r1.norm**2 * r2.norm**2, levels)
 
 
 def _route_flag(psi: PureState, triggers: TriggerSet) -> tuple[PureState, np.ndarray]:
     """One register through its ancilla, router, coincidence and flag, with
     the coincidence mass it kept per word. Only the router's (d, k+1)
-    coincidence block is formed. The flag is the two surviving rows of
-    `ancilla_flag_unitary`, the (d, 2) array [pass rail, trigger rails'
-    overlap with the pattern]; their residual off the pattern, which the
-    unitary's other rows would carry, is checked as a truncation."""
+    coincidence block is formed. The flag is one-hot: the router is a
+    permutation, so a free level keeps only its pass-rail amplitude and a
+    trigger level only its overlap with the pattern (flag 1), the other
+    being exactly 0; what is returned is their sum, one amplitude per
+    level (d,). The trigger rails' residual off the pattern, which the
+    flag unitary's other rows would carry, is checked as a truncation."""
     pattern, _ = trigger_pattern(psi, triggers)
     block = _routed_coincidence(psi.amps, _ancilla(pattern).amps, triggers.indices)
     reg, kept = _postselect(block)
@@ -323,8 +343,7 @@ def _route_flag(psi: PureState, triggers: TriggerSet) -> tuple[PureState, np.nda
     np.subtract(rails, residual, out=residual)
     _check_discard(residual, len(psi.batch))
     del residual
-    flag = np.concatenate([reg.amps[..., -1:], overlap], axis=-1)
-    return PureState._fresh(flag.shape[-2:], flag), kept
+    return PureState._fresh(psi.dims, reg.amps[..., -1] + overlap[..., 0]), kept
 
 
 _VERIFIED: dict[tuple[int, int], Unitary] = {}
@@ -397,30 +416,12 @@ def _run_state_independent(
     tail = _Tail.build("state-independent", t1, t2, model)
     # a flag's ladder, H·S·H on |0> with S its register's two-level gates of
     # signs s, leaves it ((1+s)|0> + (1-s)|1>)/2: exactly |1> on the trigger
-    # levels and |0> elsewhere. So outcome b's conditional state is the input
-    # times bra_b at both flags' values, one (d1, d2) coefficient per label
-    coeffs = _on_levels(tail.bras, tail.flags, 2)
-
-    # the fusion tail, beside its corrections read at the entries (real): no register of its own
+    # levels and |0> elsewhere. So the flagged register's amplitude at each
+    # level pair is the input's, and the ladder's sign gates keep the whole mass
     return _by_slice(
-        lambda joint, total, *levels: _ladder_fuse(joint, total, coeffs, tail, *levels),
+        lambda joint, total, *levels: _fuse(tail, joint.amps, 1.0, total, *levels),
         [joint],
-        _fuse_words(joint.dim, model) + len(model.heralds) * joint.dim // 2,
+        _fuse_words(joint.dim, model),
         norm**2,
         *(() if levels is None else (levels,)),
     )
-
-
-def _ladder_fuse(joint: PureState, total, coeffs, tail: _Tail, levels=None) -> SchemeResult:
-    # a dense word reads the (h, d1, d2) tables at its whole grid, a support at its entries
-    x, ndims = joint.amps, len(joint.dims)
-    at = (lambda table: table) if levels is None else (lambda table: _on_levels(table, levels, 1))
-
-    def flagged() -> PureState:  # each entry beside both flags' 0/1 states
-        flags = tail.flags if levels is None else tail.flags.ravel()[levels]
-        amps = x[..., None, None] * np.eye(4).reshape(4, 2, 2)[flags]
-        return PureState._fresh(joint.dims + (2, 2), amps)
-
-    # the ladder's sign gates keep the whole mass
-    fronts = x[(..., None) + (slice(None),) * ndims] * at(coeffs)
-    return _fuse(tail, fronts, 1.0, total, flagged, at(tail.signs), ndims)

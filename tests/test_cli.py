@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from qompress import cli, schemes
 from qompress.cli import _sci_text, main, run_claims
 from qompress.compress import cost_report, parse_circuit, parse_layout
+from qompress.exact import BsmModel
 
 
 def run(capsys, argv):
@@ -315,8 +316,11 @@ class TestReproduce:
         names = [c["name"] for c in payload["claims"]]
         assert "state-dependent success probability" in names
 
-    def test_wrong_heralds_fail_visibly(self):
-        claims = run_claims(0, heralds=frozenset({"psi+"}))
+    def test_wrong_heralds_fail_visibly(self, monkeypatch):
+        # a passive analyzer that heralds one label makes the probability claims fail
+        wrong = BsmModel(frozenset({"psi+"}))
+        monkeypatch.setattr(BsmModel, "linear_optics", classmethod(lambda cls: wrong))
+        claims = run_claims(0)
         by_name = {c.name: c for c in claims}
         claim = by_name["state-dependent success probability"]
         assert not claim.passed

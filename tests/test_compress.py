@@ -634,17 +634,21 @@ class TestSimulation:
     def test_each_scheme_runs_once_per_crossing(
         self, monkeypatch, backend, core, circuit, crossings
     ):
-        # one scheme call per crossing with every input word as its batch
-        batches = []
+        # one scheme call per crossing with every input word as its batch;
+        # each core returns its outputs at the slices' entries, (slices, e)
+        batches, shapes = [], []
 
         def counted(*args, _real=getattr(schemes, core)):
             batches.append(args[0].batch)
-            return _real(*args)
+            for res in _real(*args):
+                shapes.append((res.output.amps.shape, args[-1].shape[1]))
+                yield res
 
         # the crossing imports the core from its home module when it runs
         monkeypatch.setattr(schemes, core, counted)
         table = simulate_compressed(circuit(), qfa_layout(), backend)
         assert batches == [(16,)] * crossings
+        assert shapes and all(shape[1:] == (e,) for shape, e in shapes)
         assert table == simulate_compressed(circuit(), qfa_layout(), "standard")
 
     def test_entangling_circuit_rejected(self):

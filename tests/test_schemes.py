@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 
@@ -139,9 +140,10 @@ class TestStateDependent:
 
 
 class TestRouterFlag:
-    """The router flag is the two rows of the flag unitary that survive:
-    on batched random inputs it must equal the unitary applied and
-    truncated, and a pattern off the input's must leak and be refused."""
+    """The router flag is one-hot, so each level keeps one amplitude, its
+    row of the two flag-unitary rows that survive: on batched random inputs
+    it must equal the unitary applied and truncated, read at the level's
+    flag, and a pattern off the input's must leak and be refused."""
 
     @staticmethod
     def routed(psi: PureState, triggers: TriggerSet, pattern: np.ndarray):
@@ -157,11 +159,37 @@ class TestRouterFlag:
         reg, kept = self.routed(psi, triggers, pattern)
         want = truncate_subsystem(apply(ancilla_flag_unitary(pattern).on(1), reg), 1, 2)
         got, got_kept = schemes._route_flag(psi, triggers)
-        assert got.dims == want.dims == (d, 2)
-        np.testing.assert_allclose(got.amps, want.amps, rtol=0, atol=1e-12)
+        assert want.dims == (d, 2) and got.dims == (d,)
+        # a trigger level's flag is 1, a free level's 0
+        levels, flag = np.arange(d), np.isin(np.arange(d), triggers.indices).astype(int)
+        np.testing.assert_allclose(got.amps, want.amps[:, levels, flag], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(want.amps[:, levels, 1 - flag], 0, rtol=0, atol=1e-12)
         # the flag keeps the coincidence mass and all of the routed register's
         np.testing.assert_array_equal(got_kept, kept)
         np.testing.assert_allclose(got.norm, reg.norm, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("inputs", ["random", "sparse", "all-trigger", "no-trigger-mass"])
+    @pytest.mark.parametrize("d", [2, 8, 64, 512])
+    def test_the_flag_is_one_hot(self, d, inputs):
+        # the router is a permutation: a free level's trigger rails and a
+        # trigger level's pass rail are exactly 0, and so is the overlap of
+        # those rails with the pattern, the uniform one included
+        rng = np.random.default_rng(197 + d)
+        triggers = TriggerSet(tuple(rng.choice(d, size=max(1, d // 3), replace=False)), d)
+        on = np.isin(np.arange(d), triggers.indices)
+        words = random_batch((8, d), rng)
+        if inputs == "sparse":  # two levels per word
+            words *= np.argsort(rng.random((8, d)), axis=1) < 2
+        elif inputs != "random":
+            words[:, on if inputs == "no-trigger-mass" else ~on] = 0.0
+        psi = PureState((d,), words / np.linalg.norm(words, axis=1, keepdims=True))
+        pattern, _ = trigger_pattern(psi, triggers)
+        reg, _ = _postselect(_routed_coincidence(psi.amps, _ancilla(pattern).amps, triggers.indices))
+        passing = reg.amps[..., -1]
+        overlap = (reg.amps[..., :-1] @ pattern.conj()[..., :, None])[..., 0]
+        assert np.all(passing[:, on] == 0) and np.all(overlap[:, ~on] == 0)
+        got, _ = schemes._route_flag(psi, triggers)
+        np.testing.assert_array_equal(got.amps, np.where(on, overlap, passing))
 
     def test_a_tilted_pattern_is_refused(self, monkeypatch):
         rng = np.random.default_rng(179)
@@ -473,8 +501,11 @@ class TestLayout:
             assert len(states) == 2 * len(res.branches) > 0
             for state in states:
                 assert all(state.amps[w].flags.c_contiguous for w in np.ndindex(batch)), res.scheme
-        assert _Tail.build("state-independent", TriggerSet(c1, d1), TriggerSet(c2, d2),
-                           model).signs.flags.c_contiguous
+        # the corrections read at the flags, on the grid and at a support's entries
+        tail = _Tail.build("state-independent", TriggerSet(c1, d1), TriggerSet(c2, d2), model)
+        entries = rng.integers(-1, d1 * d2, size=(3, 5))
+        assert schemes._on_levels(tail.corrections, tail.flags, 2).flags.c_contiguous
+        assert schemes._on_levels(tail.corrections, tail.flags.ravel()[entries], 1).flags.c_contiguous
 
 
 class TestSignMultiplies:
@@ -491,8 +522,9 @@ class TestSignMultiplies:
         tail = _Tail.build("state-dependent", t1, t2, BsmModel.ideal())
         # phi- corrects register 1, psi+ register 2 and psi- both
         fixes = {"phi+": (), "phi-": (0,), "psi+": (1,), "psi-": (0, 1)}
-        assert tail.signs.shape == (len(BELL_LABELS), 4, 3)
-        for label, signs in zip(BELL_LABELS, tail.signs):
+        on_registers = schemes._on_levels(tail.corrections, tail.flags, 2)
+        assert on_registers.shape == (len(BELL_LABELS), 4, 3)
+        for label, signs in zip(BELL_LABELS, on_registers):
             want = state
             for sub in fixes[label]:
                 want = apply(correction_unitary((t1, t2)[sub]).on(sub), want)
@@ -504,21 +536,26 @@ class TestSignMultiplies:
     def test_fuse_branches(self, model, words):
         # the second heralded label is below the cutoff in every word, and
         # in a batch the first one is below it in word 0 alone: the second
-        # gets no branch, the first a zero output in that word
+        # gets no branch, the first a zero output in that word. The tail's
+        # bras are random here, the second scaled by 1e-9 and the first 0
+        # at flags (0, 0), the only flags of word 0's level pairs
         rng = np.random.default_rng(109)
         t1, t2 = TriggerSet((1, 3), 4), TriggerSet((0,), 3)
-        tail = _Tail.build("state-dependent", t1, t2, model)
         labels = [label for label in BELL_LABELS if label in model.heralds]
+        bras = random_batch((len(labels), 2, 2), rng)
+        bras[1] *= 1e-9
+        bras[0, 0, 0] = 0.0
+        tail = dataclasses.replace(_Tail.build("state-dependent", t1, t2, model), bras=bras)
         batch = () if words is None else (words,)
-        fronts = random_batch(batch + (len(labels), 4, 3), rng)
-        fronts[..., 1, :, :] *= 1e-9
+        x = random_batch(batch + (4, 3), rng)
         if words:
-            fronts[0, 0] = 0.0
-        raw = fronts.copy()
+            x[0] *= tail.flags == 0
+        # C-ordered like the tail's stack, so every sum runs in the same order
+        raw = x[..., None, :, :] * bras.reshape(len(labels), 4).take(tail.flags, axis=1)
         probs = (np.abs(raw) ** 2).sum(axis=(-2, -1))
         heralded = probs.sum(axis=-1)
         total = heralded + (0.0 if len(labels) == 4 else 0.5)
-        res = schemes._fuse(tail, fronts, tail.target / heralded, total, lambda: None)
+        res = schemes._fuse(tail, x, tail.target / heralded, total)
         assert [o.label for o in res.bsm_outcomes] == labels + ["fail"] * (len(labels) < 4)
         assert res.bsm_outcomes[1].state is None
         assert [b.label for b in res.branches] == labels[:1] + labels[2:]
