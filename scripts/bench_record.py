@@ -21,6 +21,10 @@ commits unpacked into two directories). The script runs
   12 qubits in groups (0..5) and (6..11) with the `state-dependent`
   backend, in `CHAIN_PAIRS` pairs: one router crossing over all 4096
   words;
+- `sd_crossing_14`: `ccx(0, 1, 8)` on 14 qubits in groups (0..6) and
+  (7..13) with the `state-dependent` backend, in `CHAIN_PAIRS` pairs under
+  the 2000 MB address-space limit below: one router crossing of two
+  128-level registers, 32 and 64 of their levels triggers;
 - `cost_report` on one `cx` across a w-qubit group and a 2-qubit group,
   w = 14 to 20, wall time and peak RSS, one process per side and point;
 - `qompress verify --trials 1` with both schemes at d1 = 2^10, 2^14, 2^17
@@ -117,6 +121,23 @@ print(json.dumps({"qubits": 12, "backend": "state-dependent", "wall_s": wall,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
+SD_CROSSING_14 = """
+import json, resource, time
+import numpy
+from qompress.compress import CircuitIR, Gate, QuditLayout, simulate_compressed
+circuit = CircuitIR(14, (Gate("ccx", (0, 1, 8)),))
+layout = QuditLayout((tuple(range(7)), tuple(range(7, 14))))
+t0 = time.perf_counter()
+table = simulate_compressed(circuit, layout, "state-dependent")
+wall = time.perf_counter() - t0
+for word, out in table.items():
+    bits = list(word)
+    bits[8] ^= bits[0] & bits[1]
+    assert tuple(bits) == out
+print(json.dumps({"qubits": 14, "backend": "state-dependent", "wall_s": wall,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
 WIDE_PRICING = """
 import json, resource, sys, time
 from qompress.compress import CircuitIR, Gate, QuditLayout, cost_report
@@ -168,8 +189,8 @@ CHAIN_PAIRS = 3
 WIDE_CHAIN_CASES = tuple((n, 2, b) for n in (16, 20) for b in BACKENDS)
 
 VERIFY_DIMS = (1 << 10, 1 << 14, 1 << 17, 1 << 20)
-# the address-space limit of each verify_scaling process, the 2 GB of the
-# large-register CI step
+# the address-space limit of each verify_scaling and sd_crossing_14 process,
+# the 2 GB of the large-register CI steps
 VERIFY_LIMIT_MB = 2000
 
 
@@ -301,6 +322,8 @@ def main(argv=None) -> int:
     record["h_sandwich_12"] = alternated(sides, "h_sandwich_12", H_SANDWICH,
                                          [(b,) for b in BACKENDS], CHAIN_PAIRS)
     record["sd_crossing_12"] = alternated(sides, "sd_crossing_12", SD_CROSSING, [()], CHAIN_PAIRS)
+    record["sd_crossing_14"] = alternated(sides, "sd_crossing_14", SD_CROSSING_14, [()], CHAIN_PAIRS,
+                                          limit_mb=VERIFY_LIMIT_MB)
     record["wide_cx_pricing"] = alternated(sides, "wide_cx_pricing", WIDE_PRICING,
                                            [(w,) for w in range(14, 21)])
     record["verify_scaling"] = alternated(

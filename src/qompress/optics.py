@@ -177,26 +177,28 @@ def postselect_coincidence(state: TwoPhotonState) -> tuple[PureState, float]:
     return register, float(prob)
 
 
-def _coincidence(state: TwoPhotonState):
-    """postselect_coincidence over a batch: the kept mass is an array with
-    one entry per word, and the lowest word below the cutoff is reported."""
+def _coincidence(state: TwoPhotonState) -> tuple[PureState, np.ndarray]:
+    """postselect_coincidence over a batch: the coincidence register from
+    its amplitude block (first-group mode, second-group mode), renormalized
+    in place, and the kept mass, an array with one entry per word."""
     s = state.split
-    return _postselect(2.0 * state.coeff[..., :s, s:])
-
-
-def _postselect(block: np.ndarray) -> tuple[PureState, np.ndarray]:
-    """The coincidence register from its amplitude block (first-group
-    mode, second-group mode), renormalized in place, with the kept mass."""
+    block = 2.0 * state.coeff[..., :s, s:]
     mass = np.abs(block)
     mass *= mass
-    prob = mass.sum(axis=(-2, -1))
+    prob = _above_cutoff(mass.sum(axis=(-2, -1)))
     del mass
+    block /= np.sqrt(prob)[..., None, None]
+    return PureState._fresh(block.shape[-2:], block), prob
+
+
+def _above_cutoff(prob: np.ndarray) -> np.ndarray:
+    """The coincidence mass kept, one entry per word, refused if any word's
+    is below the cutoff; the lowest such word is reported."""
     low = prob < _COINCIDENCE_CUTOFF
     if low.any():
         first = np.flatnonzero(low)[0]
         raise ValueError(f"coincidence probability {prob.flat[first]:.3e} below cutoff")
-    block /= np.sqrt(prob)[..., None, None]
-    return PureState._fresh(block.shape[-2:], block), prob
+    return prob
 
 
 def smr_abstract(x: int, y: int, triggers, d: int) -> PhotonConfig:
@@ -266,28 +268,7 @@ def route_with_ancilla(qudit: PureState, ancilla: PureState, triggers) -> TwoPho
     d = qudit.dim
     if ancilla.dim != len(indices) + 1:
         raise ValueError(f"ancilla dim {ancilla.dim} does not match {len(indices)} triggers")
-    v, w = _routed_vectors(qudit.amps.reshape(qudit.batch + (d,)),
-                           ancilla.amps.reshape(ancilla.batch + (-1,)), indices)
-    return TwoPhotonState._trusted(_pair_coeff(v, w), d)
-
-
-def _routed_vectors(qudit: np.ndarray, ancilla: np.ndarray, indices) -> tuple[np.ndarray, np.ndarray]:
-    """The two photons' mode vectors (v, w) gathered through the router's swap image."""
-    pairs = [(c, i) for i, c in enumerate(indices)]
-    image = np.array(_swap_image(qudit.shape[-1], ancilla.shape[-1], pairs))
-    v, w = _port_vectors(qudit, ancilla)
-    return v[..., image], w[..., image]
-
-
-def _routed_coincidence(qudit: np.ndarray, ancilla: np.ndarray, indices) -> np.ndarray:
-    """The coincidence block of route_with_ancilla's state, 2·M[:d, d:] of
-    its coefficient matrix M, formed alone: after the swap image each
-    photon's mode vector splits into its two port groups, v = (v_a, v_b)
-    and w = (w_a, w_b), and the block is v_a w_bᵀ + w_a v_bᵀ, d·(k+1)
-    amplitudes per word where M has (d+k+1)². Each entry sums the same
-    two products as M's, so the block is M's doubled up to underflow."""
-    d = qudit.shape[-1]
-    v, w = _routed_vectors(qudit, ancilla, indices)
-    block = v[..., :d, None] * w[..., None, d:]
-    block += w[..., :d, None] * v[..., None, d:]
-    return block
+    image = np.array(_swap_image(d, ancilla.dim, [(c, i) for i, c in enumerate(indices)]))
+    v, w = _port_vectors(qudit.amps.reshape(qudit.batch + (d,)),
+                         ancilla.amps.reshape(ancilla.batch + (-1,)))
+    return TwoPhotonState._trusted(_pair_coeff(v[..., image], w[..., image]), d)

@@ -15,7 +15,6 @@ on a single input, a batch of one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -34,7 +33,7 @@ from .mcz import (
     multi_level_cz,
     trigger_pattern,
 )
-from .optics import _postselect, _routed_coincidence
+from .optics import _above_cutoff
 from .qstate import (
     NORM_ATOL,
     PureState,
@@ -125,12 +124,12 @@ def _by_slice(
     `per_word` is the scheme's working memory for one word, in amplitudes:
     every array a slice has live at once, the SchemeResult it yields
     included. A slice holds as many words as fit it within the larger of
-    the batch's register, its words times its states' dims, and 2^16
-    amplitudes; an unbatched input is one slice. Every check reports the
-    lowest failing word of its slice.
+    the batch's register, its words times the sum of its states' sizes,
+    and 2^16 amplitudes; an unbatched input is one slice. Every check
+    reports the lowest failing word of its slice.
     """
     (words,) = states[0].batch or (1,)
-    step = max(1, max(words * math.prod(s.dim for s in states), _SLICE_FLOOR) // per_word)
+    step = max(1, max(words * sum(s.dim for s in states), _SLICE_FLOOR) // per_word)
     if step >= words:
         yield run(*states, *columns)
         return
@@ -282,12 +281,13 @@ def _run_state_dependent(
     tail = _Tail.build("state-dependent", t1, t2, model)
     d1, d2, k1, k2 = t1.dim, t2.dim, len(t1), len(t2)
     e = d1 * d2 if levels is None else levels.shape[-1]
-    # a router beside nothing, the second one beside the first register's
-    # flag amplitudes, then the fusion tail beside both and their product
+    # a router beside nothing, the second beside the first's flag amplitudes
+    # and mass, their product formed beside both, then the fusion tail beside it
     per_word = max(
         _route_words(d1, k1),
-        _route_words(d2, k2) + d1,
-        _fuse_words(e, model) + d1 + d2 + e,
+        _route_words(d2, k2) + d1 + 1,
+        d1 + d2 + 4 * e + 2,
+        _fuse_words(e, model) + e,
     )
 
     return _by_slice(
@@ -300,12 +300,11 @@ def _run_state_dependent(
 
 def _route_words(d: int, k: int) -> int:
     """Amplitudes per word live at once while one register is routed and
-    flagged (tracemalloc): its (d, k+1) coincidence block, beside either
-    the photons' two mode vectors (d+k+1 each) and one product of them
-    while the block is formed, or the (d, k) residual, its modulus (half
-    of it) and the overlap (d) while the flag is checked; the pattern and
-    the ancilla (2k+1) throughout. Both stay within 5dk/2 + 4(d+k) + 3."""
-    return 5 * d * k // 2 + 4 * (d + k) + 3
+    flagged (tracemalloc): its flag amplitudes (d), beside the pattern, the
+    trigger amplitudes β, the ancilla (k+1) and the residual (k each), the
+    residual's modulus (half of k) while it is checked, and a few per-word
+    masses. All stay within d + 9k/2 + 6."""
+    return d + 9 * k // 2 + 6
 
 
 def _route_flag_fuse(
@@ -315,35 +314,55 @@ def _route_flag_fuse(
     # the fusion, which reads the flagged register as r1 ⊗ r2, the product
     # of the registers' amplitudes, on the grid or at the entries
     (r1, kept1), (r2, kept2) = _route_flag(psi1, t1), _route_flag(psi2, t2)
+    kept, total = kept1 * kept2, r1.norm**2 * r2.norm**2
     if levels is None:
         x = r1.amps[..., :, None] * r2.amps[..., None, :]
     else:
-        l1, l2 = np.divmod(levels, t2.dim)
-        x = np.take_along_axis(r1.amps, l1, axis=-1) * np.take_along_axis(r2.amps, l2, axis=-1)
+        x = np.take_along_axis(r1.amps, levels // t2.dim, axis=-1)
+        x *= np.take_along_axis(r2.amps, levels % t2.dim, axis=-1)
         x *= levels >= 0
-    return _fuse(tail, x, kept1 * kept2, r1.norm**2 * r2.norm**2, levels)
+    del r1, r2, kept1, kept2
+    return _fuse(tail, x, kept, total, levels)
 
 
 def _route_flag(psi: PureState, triggers: TriggerSet) -> tuple[PureState, np.ndarray]:
     """One register through its ancilla, router, coincidence and flag, with
-    the coincidence mass it kept per word. Only the router's (d, k+1)
-    coincidence block is formed. The flag is one-hot: the router is a
-    permutation, so a free level keeps only its pass-rail amplitude and a
-    trigger level only its overlap with the pattern (flag 1), the other
-    being exactly 0; what is returned is their sum, one amplitude per
-    level (d,). The trigger rails' residual off the pattern, which the
-    flag unitary's other rows would carry, is checked as a truncation."""
-    pattern, _ = trigger_pattern(psi, triggers)
-    block = _routed_coincidence(psi.amps, _ancilla(pattern).amps, triggers.indices)
-    reg, kept = _postselect(block)
-    rails = reg.amps[..., :-1]
-    overlap = rails @ pattern.conj()[..., :, None]
+    the coincidence mass it kept, in O(d + k) per word. The router is a
+    permutation, so its (d, k+1) coincidence block v_a w_bᵀ + w_a v_bᵀ is
+    two blocks on disjoint rows and columns, never formed: the free levels
+    beside the ancilla's pass rail, and the ancilla's coupling rails, on the
+    trigger levels, beside the trigger amplitudes β, on rails 0..k-1. So the
+    kept mass is |free|²·|pass|² + |rails|²·|β|², and the flag is one-hot:
+    a free level keeps its amplitude times the pass rail (flag 0), a trigger
+    level its rail times ⟨pattern|β⟩ (flag 1), one amplitude per level (d,).
+    The residual |rails|·|β - ⟨pattern|β⟩·pattern| that the flag unitary's
+    other rows would carry is checked as a truncation."""
+    pattern, weight = trigger_pattern(psi, triggers)
+    ancilla = _ancilla(pattern).amps
+    rails, at = ancilla[..., :-1], np.array(triggers.indices)
+    beta = psi.amps[..., at]
+    out = psi.amps * ancilla[..., -1:]
+    out[..., at] = 0
+    rail_mass = _mass(rails)
+    kept = _above_cutoff(_mass(out) + rail_mass * weight)
+    overlap = np.einsum("...k,...k->...", pattern.conj(), beta)[..., None]
     # the residual itself: a difference of masses leaves ~1e-8 of amplitude
-    residual = overlap * pattern[..., None, :]
-    np.subtract(rails, residual, out=residual)
+    residual = overlap * pattern
+    np.subtract(beta, residual, out=residual)
+    residual *= np.sqrt(rail_mass / kept)[..., None]
     _check_discard(residual, len(psi.batch))
     del residual
-    return PureState._fresh(psi.dims, reg.amps[..., -1] + overlap[..., 0]), kept
+    out[..., at] = rails * overlap
+    # the float view times the reciprocal norm: bit for bit the divide
+    parts = out[..., None].view(float)
+    parts *= (1 / np.sqrt(kept))[..., None, None]
+    return PureState._fresh(psi.dims, out), kept
+
+
+def _mass(x: np.ndarray) -> np.ndarray:
+    """The squared norm of x over its last axis, from its float view."""
+    parts = x[..., None].view(float)
+    return np.einsum("...kc,...kc->...", parts, parts)
 
 
 _VERIFIED: dict[tuple[int, int], Unitary] = {}

@@ -25,8 +25,6 @@ from qompress.mcz import (
 )
 from qompress.optics import (
     _coincidence,
-    _postselect,
-    _routed_coincidence,
     postselect_coincidence,
     route_with_ancilla,
 )
@@ -165,7 +163,7 @@ class TestRouterFlag:
         np.testing.assert_allclose(got.amps, want.amps[:, levels, flag], rtol=0, atol=1e-12)
         np.testing.assert_allclose(want.amps[:, levels, 1 - flag], 0, rtol=0, atol=1e-12)
         # the flag keeps the coincidence mass and all of the routed register's
-        np.testing.assert_array_equal(got_kept, kept)
+        np.testing.assert_allclose(got_kept, kept, rtol=0, atol=1e-15)
         np.testing.assert_allclose(got.norm, reg.norm, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("inputs", ["random", "sparse", "all-trigger", "no-trigger-mass"])
@@ -184,12 +182,12 @@ class TestRouterFlag:
             words[:, on if inputs == "no-trigger-mass" else ~on] = 0.0
         psi = PureState((d,), words / np.linalg.norm(words, axis=1, keepdims=True))
         pattern, _ = trigger_pattern(psi, triggers)
-        reg, _ = _postselect(_routed_coincidence(psi.amps, _ancilla(pattern).amps, triggers.indices))
+        reg, _ = self.routed(psi, triggers, pattern)
         passing = reg.amps[..., -1]
         overlap = (reg.amps[..., :-1] @ pattern.conj()[..., :, None])[..., 0]
         assert np.all(passing[:, on] == 0) and np.all(overlap[:, ~on] == 0)
         got, _ = schemes._route_flag(psi, triggers)
-        np.testing.assert_array_equal(got.amps, np.where(on, overlap, passing))
+        np.testing.assert_allclose(got.amps, np.where(on, overlap, passing), rtol=0, atol=1e-15)
 
     def test_a_tilted_pattern_is_refused(self, monkeypatch):
         rng = np.random.default_rng(179)
@@ -216,9 +214,11 @@ class TestRouterFlag:
 
 
 class TestRoutedCoincidence:
-    """The router forms only its (d, k+1) coincidence block, from the two
-    photons' mode vectors: on batched words, some with no trigger weight,
-    it must be the dense router's post-selected block, and its memory must
+    """The scheme reads the router's (d, k+1) coincidence block as two
+    blocks on disjoint rows and columns: the free levels beside the pass
+    rail, and the coupling rails, on the trigger levels, beside the trigger
+    amplitudes. On batched words, some with no trigger weight, that must
+    be the dense router's post-selected block, and the scheme's memory must
     grow with d, not d²."""
 
     @pytest.mark.parametrize("d, k", [(2, 1), (4, 3), (8, 4), (16, 7)])
@@ -235,13 +235,14 @@ class TestRoutedCoincidence:
         pattern, weight = trigger_pattern(psi, triggers)
         assert np.count_nonzero(weight == 0.0) == 2
         ancilla = _ancilla(pattern)
-        block = _routed_coincidence(psi.amps, ancilla.amps, triggers.indices)
-        assert block.shape == (10, d, k + 1)
-        want, want_kept = _coincidence(route_with_ancilla(psi, ancilla, triggers))
-        np.testing.assert_allclose(block, want.amps * np.sqrt(want_kept)[:, None, None], rtol=0, atol=1e-12)
-        got, got_kept = _postselect(block)
-        np.testing.assert_allclose(got.amps, want.amps, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(got_kept, want_kept, rtol=0, atol=1e-12)
+        rails, at = ancilla.amps[:, :k], np.array(triggers.indices)
+        block = np.zeros((10, d, k + 1), dtype=complex)
+        block[:, free, k] = psi.amps[:, free] * ancilla.amps[:, k:]
+        block[:, at[:, None], np.arange(k)] = rails[:, :, None] * psi.amps[:, None, at]
+        got, got_kept = _coincidence(route_with_ancilla(psi, ancilla, triggers))
+        assert got.amps.shape == (10, d, k + 1)
+        np.testing.assert_allclose(got.amps * np.sqrt(got_kept)[:, None, None], block, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got_kept, (np.abs(block) ** 2).sum(axis=(1, 2)), rtol=0, atol=1e-12)
         # and word by word through the public single-state calls
         for w in range(len(words)):
             word = PureState((d,), psi.amps[w])
@@ -447,6 +448,33 @@ class TestSliceMemory:
             ("state-dependent", lambda: _run_state_dependent(psi1, psi2, c1, c2, model)),
         ]:
             assert self.peak_above_input(run) <= self.REGISTER + allowance, name
+
+    @MODELS
+    @pytest.mark.parametrize("d1, d2, c1, c2, entries", [
+        (16, 16, (1, 4, 9, 12), (0, 5, 10, 15), None),
+        (128, 128, tuple(range(0, 128, 4)), tuple(range(0, 128, 2)), 2),
+    ], ids=["16x16", "128x128-supports"])
+    def test_the_router_fits_its_own_register(self, model, d1, d2, c1, c2, entries):
+        # the router is handed two registers, so its slices fit words·(d1 + d2)
+        # amplitudes, not the (d1, d2) grid; with `entries` levels per
+        # register a word is read at their products, as a crossing reads it
+        rng = np.random.default_rng(181)
+        words = self.REGISTER // (16 * (d1 + d2))
+        psi, levels = [], ()
+        for d in (d1, d2):
+            if entries:  # each word on `entries` random levels of the register
+                on = np.argsort(rng.random((words, d)), axis=1)[:, :entries]
+                x = np.zeros((words, d), dtype=complex)
+                x[np.arange(words)[:, None], on] = random_batch((words, entries), rng)
+                levels += (on,)
+            else:
+                x = random_batch((words, d), rng)
+            psi.append(PureState((d,), x / np.linalg.norm(x, axis=1, keepdims=True)))
+        if entries:
+            levels = ((levels[0][:, :, None] * d2 + levels[1][:, None, :]).reshape(words, -1),)
+        allowance = 3 * np.getbufsize() * 16
+        peak = self.peak_above_input(lambda: _run_state_dependent(*psi, c1, c2, model, *levels))
+        assert peak <= self.REGISTER + allowance
 
     @MODELS
     def test_a_small_batch_runs_in_one_slice(self, model):
