@@ -39,6 +39,13 @@ commits unpacked into two directories). The script runs
   beside each side's `sys.flags.dont_write_bytecode`: with it set, no
   process reuses compiled bytecode and every one pays for compiling the
   package;
+- `scheme_calls`: the in-process median time of one `run_state_dependent`,
+  one `run_state_independent_joint` and one `multi_level_cz` call at
+  d1 = d2 = 2, 4, 8 and 16 (every other level a trigger, the first
+  register's from 0 and the second's from 1) under the ideal and the
+  linear-optics analyzer, `SCHEME_CALL_REPEATS` calls each after
+  `SCHEME_CALL_WARMUP` untimed ones, one process per side and case, in
+  `CHAIN_PAIRS` pairs: the per-call cost of each layer at several sizes;
 - on the change side alone, `ccx_chain_16` and `ccx_chain_20`: the chain
   at 16 and 20 qubits on two groups, both backends, under the same
   2000 MB limit.
@@ -168,6 +175,34 @@ print(json.dumps({"scheme": scheme, "d1": int(d1), "exit": code,
                   "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
 """
 
+SCHEME_CALLS = """
+import json, resource, statistics, sys, time
+import numpy as np
+from qompress.exact import BsmModel
+from qompress.mcz import multi_level_cz
+from qompress.qstate import random_state
+from qompress.schemes import run_state_dependent, run_state_independent_joint
+d, model, warmup, repeats = int(sys.argv[1]), sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+bsm = BsmModel.ideal() if model == "ideal" else BsmModel.linear_optics()
+rng = np.random.default_rng(d)
+psi1, psi2, joint = random_state((d,), rng), random_state((d,), rng), random_state((d, d), rng)
+c1, c2 = tuple(range(0, d, 2)), tuple(range(1, d, 2))
+calls = {"run_state_dependent": lambda: run_state_dependent(psi1, psi2, c1, c2, bsm),
+         "run_state_independent_joint": lambda: run_state_independent_joint(joint, c1, c2, model=bsm),
+         "multi_level_cz": lambda: multi_level_cz(d, d, c1, c2)}
+out = {"d": d, "model": model}
+t0 = time.perf_counter()
+for name, call in calls.items():
+    times = []
+    for _ in range(warmup + repeats):
+        start = time.perf_counter_ns()
+        call()
+        times.append(time.perf_counter_ns() - start)
+    out[name + "_us"] = statistics.median(times[warmup:]) / 1e3
+print(json.dumps({**out, "wall_s": time.perf_counter() - t0,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
 CLI_ARGVS = """
 import json, sys
 sys.path.insert(0, "perfbench")
@@ -187,6 +222,11 @@ CHAIN_PAIRS = 3
 # the wide chains, run on the change side alone: a dense register of 16
 # qubits needs 64 GiB
 WIDE_CHAIN_CASES = tuple((n, 2, b) for n in (16, 20) for b in BACKENDS)
+
+SCHEME_CALL_CASES = tuple((d, model) for d in (2, 4, 8, 16) for model in ("ideal", "linear-optics"))
+SCHEME_CALL_WARMUP, SCHEME_CALL_REPEATS = 200, 2000
+SCHEME_CALL_KEYS = tuple(f"{name}_us" for name in
+                         ("run_state_dependent", "run_state_independent_joint", "multi_level_cz"))
 
 VERIFY_DIMS = (1 << 10, 1 << 14, 1 << 17, 1 << 20)
 # the address-space limit of each verify_scaling and sd_crossing_14 process,
@@ -248,11 +288,11 @@ def script_runs(path: Path, script: str, arg_lists, limit_mb: int | None = None)
 
 
 def alternated(sides: dict[str, Path], name: str, script: str, cases, pairs: int = 1,
-               limit_mb: int | None = None) -> dict:
+               limit_mb: int | None = None, keys=("wall_s", "peak_rss_mb")) -> dict:
     """Every case of `script` in `pairs` alternated parent/change pairs, the
     first side alternating from case to case and from pair to pair: each
-    run, and per side and case the median wall time and peak RSS of the
-    runs that printed a result."""
+    run, and per side and case the median of each of `keys` (by default
+    the wall time and peak RSS) over the runs that printed a result."""
     runs = []
     for pair in range(pairs):
         for j, case in enumerate(cases):
@@ -261,10 +301,10 @@ def alternated(sides: dict[str, Path], name: str, script: str, cases, pairs: int
                 (result,) = script_runs(sides[side], script, [case], limit_mb)
                 runs.append({"side": side, "pair": pair, "case": list(case), "result": result})
                 print(side, name, *case, pair, result.get("wall_s", "?"), file=sys.stderr)
-    return {"runs": runs, "median": medians(runs, sides, cases)}
+    return {"runs": runs, "median": medians(runs, sides, cases, keys)}
 
 
-def medians(runs: list[dict], sides, cases) -> dict:
+def medians(runs: list[dict], sides, cases, keys) -> dict:
     out = {}
     for side in sides:
         out[side] = []
@@ -274,7 +314,7 @@ def medians(runs: list[dict], sides, cases) -> dict:
             out[side].append({
                 "case": list(case), "runs": len(done),
                 **{key: statistics.median(r[key] for r in done) if done else None
-                   for key in ("wall_s", "peak_rss_mb")}})
+                   for key in keys}})
     return out
 
 
@@ -331,6 +371,10 @@ def main(argv=None) -> int:
         [(scheme, d1) for scheme in ("state-dependent", "state-independent") for d1 in VERIFY_DIMS],
         limit_mb=VERIFY_LIMIT_MB)
     record["startup"] = startup(sides)
+    record["scheme_calls"] = alternated(
+        sides, "scheme_calls", SCHEME_CALLS,
+        [(d, model, SCHEME_CALL_WARMUP, SCHEME_CALL_REPEATS) for d, model in SCHEME_CALL_CASES],
+        CHAIN_PAIRS, keys=SCHEME_CALL_KEYS + ("wall_s",))
     for case in WIDE_CHAIN_CASES:
         name = f"ccx_chain_{case[0]}"
         (result,) = script_runs(sides["change"], CHAIN, [case], VERIFY_LIMIT_MB)

@@ -28,7 +28,7 @@ class TriggerSet:
     dim: int
 
     def __post_init__(self):
-        indices = tuple(sorted(int(i) for i in self.indices))
+        indices = tuple(sorted(map(int, self.indices)))
         dim = int(self.dim)
         if len(set(indices)) != len(indices):
             raise ValueError(f"repeated trigger level in {self.indices}")
@@ -66,10 +66,10 @@ class BsmModel:
     heralds: frozenset[str]
 
     def __post_init__(self):
-        bad = set(self.heralds) - set(BELL_LABELS)
-        if bad:
-            raise ValueError(f"unknown herald labels {sorted(bad)}")
-        object.__setattr__(self, "heralds", frozenset(self.heralds))
+        heralds = frozenset(self.heralds)
+        if heralds - _ALL_HERALDS:
+            raise ValueError(f"unknown herald labels {sorted(heralds - _ALL_HERALDS)}")
+        object.__setattr__(self, "heralds", heralds)
 
     @classmethod
     def ideal(cls) -> "BsmModel":

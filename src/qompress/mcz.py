@@ -4,11 +4,12 @@ analyzer used to fuse two routed registers."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, reduce
 
 import numpy as np
 
 from .exact import BELL_LABELS, BsmModel, TriggerSet, _ALL_HERALDS, _as_trigger_set
-from .qstate import PureState, Unitary
+from .qstate import PureState, Unitary, _any
 
 # the Bell vectors over the qubit pair, one (2, 2) array per label in
 # BELL_LABELS order
@@ -24,18 +25,17 @@ def bell_vector(label: str) -> np.ndarray:
 
 
 def _signs(*triggers: TriggerSet) -> np.ndarray:
-    """The sign gate over one register per trigger set, as a ±1 array of
-    shape (d1, d2, ...): -1 exactly where every register sits on one of
-    its trigger levels. Every sign gate of the package is this array;
-    internal callers multiply by it and build no matrix."""
-    signs = np.ones(tuple(t.dim for t in triggers))
-    signs[np.ix_(*(t.indices for t in triggers))] = -1.0
-    return signs
+    """The sign gate over one register per trigger set, as the ±1 array
+    1 - 2·(b1 ⊗ b2 ⊗ ...) of a register's 0/1 trigger bits b, shape (d1, d2,
+    ...): -1 exactly where every register sits on a trigger level. Every sign
+    gate of the package is this array; internal callers multiply by it."""
+    bits = [np.bincount(t.indices, minlength=t.dim) for t in triggers]
+    return 1.0 - 2.0 * reduce(np.multiply.outer, bits)
 
 
 def _diagonal(signs: np.ndarray) -> Unitary:
-    """The diagonal matrix of a ±1 sign array, read in C order."""
-    return Unitary._trusted(np.diag(np.ravel(signs)).astype(complex))
+    """The complex diagonal matrix of a ±1 sign array, read in C order."""
+    return Unitary._trusted(np.diag(np.ravel(signs).astype(complex)))
 
 
 def multi_level_cz(d1: int, d2: int, c1, c2) -> Unitary:
@@ -52,20 +52,22 @@ def correction_unitary(triggers: TriggerSet) -> Unitary:
 
 
 def trigger_pattern(state: PureState, triggers: TriggerSet) -> tuple[np.ndarray, float]:
-    """Amplitude pattern of the state on the trigger levels.
+    """Amplitude pattern of the state on the trigger levels: the router's
+    ancilla is it over √2 on the coupling rails and 1/√2 on the pass rail.
 
     Returns (pattern, weight) with the pattern normalized and the weight
     the probability mass it carried, one of each per word for a batched
-    state. A word with no support on the triggers gets the uniform
-    pattern.
+    state. A word with no support on the triggers, divided by 1 where every
+    other word is divided by its weight's root, gets the uniform pattern.
     """
     if len(state.dims) != 1:
         raise ValueError("pattern is defined for a single register")
-    beta = state.amps[..., list(triggers.indices)]
+    beta = state.amps.take(triggers.indices, axis=-1)
     weight = (np.abs(beta) ** 2).sum(axis=-1)
     empty = weight == 0.0
-    pattern = beta / np.sqrt(np.where(empty, 1.0, weight))[..., None]
-    pattern[empty] = 1.0 / np.sqrt(len(triggers))
+    pattern = beta / np.sqrt(weight + empty)[..., None]
+    if _any(empty):
+        pattern[empty] = 1.0 / np.sqrt(len(triggers))
     return pattern, (weight if state.batch else float(weight))
 
 
@@ -131,15 +133,16 @@ def bell_measurement(state: PureState, model: BsmModel) -> list[BsmOutcome]:
     if len(state.dims) < 2 or state.dims[-2:] != (2, 2):
         raise ValueError(f"need a qubit pair at the end, got dims {state.dims}")
     front_dims = state.dims[:-2]
-    bras = _BELL_PAIRS[_heralded(model)].conj().reshape(-1, 4)
+    bras = _BELL_PAIRS[list(_heralded(model.heralds))].conj().reshape(-1, 4)
     fronts = (bras @ state.amps.reshape(-1, 4).T).reshape((len(bras),) + front_dims)
     outcomes, _ = _outcomes(fronts, len(front_dims), model, state.norm**2)
     return outcomes
 
 
-def _heralded(model: BsmModel) -> list[int]:
-    """The positions in BELL_LABELS of the labels the model heralds."""
-    return [i for i, label in enumerate(BELL_LABELS) if label in model.heralds]
+@cache
+def _heralded(heralds: frozenset[str]) -> tuple[int, ...]:
+    """The positions in BELL_LABELS of the labels a model heralds."""
+    return tuple(i for i, label in enumerate(BELL_LABELS) if label in heralds)
 
 
 def _outcomes(
@@ -163,19 +166,19 @@ def _outcomes(
     kept = probs > 1e-14
     # one multiply of the stack's float view (re, im on a last axis) by the
     # reciprocal norm, 0 below the cutoff: bit for bit the complex-by-real divide
-    scale = np.divide(1.0, np.sqrt(probs), out=np.zeros_like(probs), where=kept)
+    scale = kept / np.sqrt(np.maximum(probs, 1e-14))
     parts = fronts[..., None].view(float)
     parts *= scale[(...,) + (None,) * (ndims + 1)]
     fronts.setflags(write=False)
     batched, dims = probs.ndim > 1, fronts.shape[fronts.ndim - ndims :]
-    live = kept.any(axis=tuple(range(kept.ndim - 1))).tolist()
+    live = (kept.any(axis=tuple(range(kept.ndim - 1))) if batched else kept).tolist()
+    values = [probs[..., i] for i in range(probs.shape[-1])] if batched else probs.tolist()
     outcomes = []
-    for i, label in enumerate(BELL_LABELS[j] for j in _heralded(model)):
-        prob = probs[..., i]
+    for i, j in enumerate(_heralded(model.heralds)):
         state = None
         if live[i]:
             state = PureState._fresh(dims, fronts[(..., i) + (slice(None),) * ndims])
-        outcomes.append(BsmOutcome(label, prob if batched else float(prob), state))
+        outcomes.append(BsmOutcome(BELL_LABELS[j], values[i], state))
     heralded = probs.sum(axis=-1)
     if model.heralds != _ALL_HERALDS:
         fail = np.maximum(0.0, total - heralded)

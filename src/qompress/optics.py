@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .qstate import UNITARITY_ATOL, PureState
+from .qstate import UNITARITY_ATOL, PureState, _any
 
 # modes below split sit on the first port group, the rest on the second
 _SYMMETRY_ATOL = 1e-10
@@ -195,7 +195,7 @@ def _above_cutoff(prob: np.ndarray) -> np.ndarray:
     """The coincidence mass kept, one entry per word, refused if any word's
     is below the cutoff; the lowest such word is reported."""
     low = prob < _COINCIDENCE_CUTOFF
-    if low.any():
+    if _any(low):
         first = np.flatnonzero(low)[0]
         raise ValueError(f"coincidence probability {prob.flat[first]:.3e} below cutoff")
     return prob

@@ -25,8 +25,8 @@ _TRUNCATION_ATOL = 1e-12
 
 def _fit(dims, amps) -> tuple[tuple[int, ...], np.ndarray]:
     """Checked dims, and amps as a complex array of shape batch + dims."""
-    checked = tuple(int(d) for d in dims)
-    if not checked or any(d < 1 for d in checked):
+    checked = tuple(map(int, dims))
+    if not checked or min(checked) < 1:
         raise ValueError(f"bad dims {dims!r}")
     dims, amps = checked, np.asarray(amps, dtype=complex)
     lead = amps.ndim - len(dims)
@@ -88,12 +88,12 @@ class PureState:
     @property
     def norm(self) -> float | np.ndarray:
         """The norm, one per word for a batched state."""
-        if not self.batch:
-            return float(np.linalg.norm(self.amps))
-        # per word, without the squared-modulus copy of the whole batch that
-        # np.linalg.norm makes along an axis
-        flat = self.amps.reshape(self.batch + (-1,))
+        batch = self.batch
+        # np.linalg.norm's sums without its dispatch, per word without its |z|² copy
+        flat = self.amps.reshape(batch + (-1,)) if batch else self.amps.ravel(order="K")
         re, im = flat.real, flat.imag
+        if not batch:
+            return math.sqrt(re.dot(re) + im.dot(im))
         return np.sqrt(np.einsum("...i,...i->...", re, re) + np.einsum("...i,...i->...", im, im))
 
 
@@ -207,9 +207,14 @@ def _check_discard(dropped: np.ndarray, nbatch: int):
     mass *= mass
     discarded = np.sqrt(mass.sum(axis=tuple(range(nbatch, mass.ndim))))
     over = discarded > _TRUNCATION_ATOL
-    if over.any():
+    if _any(over):
         first = np.flatnonzero(over)[0]
         raise ValueError(f"truncation would discard amplitude mass {discarded.flat[first]:.3e}")
+
+
+def _any(flags) -> bool:
+    """Whether any word's flag is set, without wrapping an unbatched input's one flag."""
+    return bool(flags.any() if isinstance(flags, np.ndarray) else flags)
 
 
 def fidelity_up_to_phase(a: PureState, b: PureState) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -27,7 +27,6 @@ from .exact import BELL_LABELS, BsmModel, TriggerSet, _as_trigger_set, success_p
 from .mcz import (
     BsmOutcome,
     _BELL_PAIRS,
-    _ancilla,
     _heralded,
     _outcomes,
     multi_level_cz,
@@ -35,9 +34,11 @@ from .mcz import (
 )
 from .optics import _above_cutoff
 from .qstate import (
+    _H,
     NORM_ATOL,
     PureState,
     Unitary,
+    _any,
     _check_discard,
     hadamard,
 )
@@ -60,6 +61,8 @@ _CORRECTIONS = np.array(
 # the flags on the Bell vectors' images under it, B·H, and no rotated copy of
 # the flagged register is made; these are their bras, one (2, 2) per label
 _FUSION = (_BELL_PAIRS @ hadamard().entries).conj()
+_FUSION.setflags(write=False)
+_CORRECTIONS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,7 @@ class SchemeResult:
 def _require_unit(state: PureState, message: str) -> float | np.ndarray:
     """The state's norm, one per word, which must be 1 within NORM_ATOL."""
     norm = state.norm
-    if np.any(np.abs(norm - 1.0) > NORM_ATOL) if state.batch else abs(norm - 1.0) > NORM_ATOL:
+    if _any(abs(norm - 1.0) > NORM_ATOL):
         raise ValueError(message)
     return norm
 
@@ -107,12 +110,6 @@ def _one_input(*states: PureState):
     for state in states:
         if state.batch:
             raise ValueError(f"a scheme call takes one input, got a batch {state.batch}")
-
-
-def _first_off(values, target: float) -> float | None:
-    """The lowest word's value that is off its target, if any is."""
-    off = np.abs(values - target) > PROBABILITY_ATOL
-    return float(np.ravel(values)[np.flatnonzero(off)[0]]) if off.any() else None
 
 
 def _by_slice(
@@ -170,10 +167,12 @@ class _Tail:
 
     @classmethod
     def build(cls, scheme: str, t1: TriggerSet, t2: TriggerSet, model: BsmModel) -> "_Tail":
-        heralded = _heralded(model)
-        b1, b2 = np.bincount(t1.indices, minlength=t1.dim), np.bincount(t2.indices, minlength=t2.dim)
+        heralded = list(_heralded(model.heralds))
+        b1, b2 = np.zeros(t1.dim, dtype=np.int8), np.zeros(t2.dim, dtype=np.int8)
+        b1.put(t1.indices, 2)
+        b2.put(t2.indices, 1)
         # int8: a support's flags are read at its entries and kept beside them
-        flags = (2 * b1[:, None] + b2).astype(np.int8)
+        flags = b1[:, None] + b2
         expected = success_probability(scheme, len(t1), len(t2), model)
         simulated, ancillas, gates = expected, 2, 1
         if scheme == "state-independent":
@@ -188,16 +187,16 @@ class _Tail:
                    expected, simulated, float(simulated), ancillas, gates)
 
 
-def _fuse_words(size: int, model: BsmModel) -> int:
+def _fuse_words(size: int, model: BsmModel, grid: bool) -> int:
     """Amplitudes per word of `size` live at once in the fusion tail: one
-    conditional state per heralded outcome and its corrected branch, the
-    corrections read at the flags (real, half of h·size), the flags (int8,
-    a sixteenth of size) and the word's probabilities and masks (8).
-    Before the branches exist, the bras read at the flags (h·size) and
-    then the analyzer's modulus buffer (half of it) stand where they will
-    be."""
+    conditional state per heralded outcome and its corrected branch, and
+    the word's probabilities and masks (8). At a support a word also reads
+    the corrections at its own flags (real, half of h·size) beside them
+    (int8, a sixteenth of size); on the grid both are one table per slice.
+    Before the branches exist, the bras read at the flags and then the
+    analyzer's modulus buffer stand where they will be."""
     h = len(model.heralds)
-    return 2 * h * size + h * size // 2 + size // 16 + 8
+    return 2 * h * size + 8 + (0 if grid else h * size // 2 + size // 16)
 
 
 def _fuse(tail: _Tail, x: np.ndarray, mass, total, levels=None) -> SchemeResult:
@@ -217,11 +216,11 @@ def _fuse(tail: _Tail, x: np.ndarray, mass, total, levels=None) -> SchemeResult:
     flags = tail.flags if levels is None else tail.flags.ravel()[levels]
     fronts = x[(..., None) + (slice(None),) * ndims] * _on_levels(tail.bras, flags, ndims)
     outcomes, heralded = _outcomes(fronts, ndims, tail.model, total)
-    off = _first_off(mass * heralded, tail.target)
-    if off is not None:
+    off = abs(mass * heralded - tail.target) > PROBABILITY_ATOL
+    if _any(off):  # the lowest word off the target is reported
         raise ArithmeticError(
-            f"simulated success {off!r} deviates from {tail.simulated} by more than "
-            f"{PROBABILITY_ATOL}"
+            f"simulated success {float(np.ravel(mass * heralded)[np.flatnonzero(off)[0]])!r} "
+            f"deviates from {tail.simulated} by more than {PROBABILITY_ATOL}"
         )
     corrected = fronts * _on_levels(tail.corrections, flags, ndims)
     corrected.setflags(write=False)
@@ -287,7 +286,7 @@ def _run_state_dependent(
         _route_words(d1, k1),
         _route_words(d2, k2) + d1 + 1,
         d1 + d2 + 4 * e + 2,
-        _fuse_words(e, model) + e,
+        _fuse_words(e, model, levels is None) + e,
     )
 
     return _by_slice(
@@ -301,7 +300,7 @@ def _run_state_dependent(
 def _route_words(d: int, k: int) -> int:
     """Amplitudes per word live at once while one register is routed and
     flagged (tracemalloc): its flag amplitudes (d), beside the pattern, the
-    trigger amplitudes β, the ancilla (k+1) and the residual (k each), the
+    trigger amplitudes β, the coupling rails and the residual (k each), the
     residual's modulus (half of k) while it is checked, and a few per-word
     masses. All stay within d + 9k/2 + 6."""
     return d + 9 * k // 2 + 6
@@ -327,21 +326,21 @@ def _route_flag_fuse(
 
 def _route_flag(psi: PureState, triggers: TriggerSet) -> tuple[PureState, np.ndarray]:
     """One register through its ancilla, router, coincidence and flag, with
-    the coincidence mass it kept, in O(d + k) per word. The router is a
-    permutation, so its (d, k+1) coincidence block v_a w_bᵀ + w_a v_bᵀ is
-    two blocks on disjoint rows and columns, never formed: the free levels
-    beside the ancilla's pass rail, and the ancilla's coupling rails, on the
-    trigger levels, beside the trigger amplitudes β, on rails 0..k-1. So the
-    kept mass is |free|²·|pass|² + |rails|²·|β|², and the flag is one-hot:
-    a free level keeps its amplitude times the pass rail (flag 0), a trigger
-    level its rail times ⟨pattern|β⟩ (flag 1), one amplitude per level (d,).
-    The residual |rails|·|β - ⟨pattern|β⟩·pattern| that the flag unitary's
-    other rows would carry is checked as a truncation."""
+    the coincidence mass it kept, in O(d + k) per word. The ancilla is read,
+    not built: the pattern over √2 on its coupling rails, 1/√2 on its pass
+    rail. The router is a permutation, so its (d, k+1) coincidence block
+    v_a w_bᵀ + w_a v_bᵀ is two blocks on disjoint rows and columns: the free
+    levels beside the pass rail, and the rails, on the trigger levels, beside
+    the trigger amplitudes β. So the kept mass is |free|²·|pass|² +
+    |rails|²·|β|², and the flag is one-hot: a free level keeps its amplitude
+    times the pass rail (flag 0), a trigger level its rail times ⟨pattern|β⟩
+    (flag 1). The residual |rails|·|β - ⟨pattern|β⟩·pattern| that the flag
+    unitary's other rows would carry is checked as a truncation."""
     pattern, weight = trigger_pattern(psi, triggers)
-    ancilla = _ancilla(pattern).amps
-    rails, at = ancilla[..., :-1], np.array(triggers.indices)
-    beta = psi.amps[..., at]
-    out = psi.amps * ancilla[..., -1:]
+    at = np.array(triggers.indices)
+    beta = psi.amps.take(at, axis=-1)
+    rails = pattern / np.sqrt(2.0)
+    out = psi.amps * _H
     out[..., at] = 0
     rail_mass = _mass(rails)
     kept = _above_cutoff(_mass(out) + rail_mass * weight)
@@ -365,9 +364,7 @@ def _mass(x: np.ndarray) -> np.ndarray:
     return np.einsum("...kc,...kc->...", parts, parts)
 
 
-_VERIFIED: dict[tuple[int, int], Unitary] = {}
-
-
+@cache
 def verified_two_level_cz(d: int, s: int) -> Unitary:
     """Two-level sign gate on (d-level register, flag qubit), cross-checked
     against its own optical realization.
@@ -376,10 +373,6 @@ def verified_two_level_cz(d: int, s: int) -> Unitary:
     each heralded branch must reproduce the logical matrix entrywise.
     The result is cached per (d, s).
     """
-    key = (d, int(s))
-    cached = _VERIFIED.get(key)
-    if cached is not None:
-        return cached
     logical = multi_level_cz(d, 2, (s,), (1,))
     # one word per basis pair (m, f), in the matrix's column order 2m + f
     registers = PureState((d,), np.repeat(np.eye(d), 2, axis=0))
@@ -392,7 +385,6 @@ def verified_two_level_cz(d: int, s: int) -> Unitary:
                 f"optical realization of the ({d},{s}) two-level gate disagrees "
                 f"with the logical matrix on branch {label}"
             )
-    _VERIFIED[key] = logical
     return logical
 
 
@@ -440,7 +432,7 @@ def _run_state_independent(
     return _by_slice(
         lambda joint, total, *levels: _fuse(tail, joint.amps, 1.0, total, *levels),
         [joint],
-        _fuse_words(joint.dim, model),
+        _fuse_words(joint.dim, model, levels is None),
         norm**2,
         *(() if levels is None else (levels,)),
     )

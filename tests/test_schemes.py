@@ -477,6 +477,22 @@ class TestSliceMemory:
         assert peak <= self.REGISTER + allowance
 
     @MODELS
+    def test_a_grid_slice_reaches_its_count(self, model, monkeypatch):
+        # on the grid the flags and the tables read at them are one per
+        # slice, so a word's count is its own arrays, and one slice of
+        # 16x16 words must peak within 10% below it
+        monkeypatch.setattr(schemes, "_SLICE_FLOOR", 1 << 40)
+        rng = np.random.default_rng(199)
+        words = 512
+        joints = random_batch((words, 16, 16), rng)
+        joints /= np.linalg.norm(joints.reshape(words, -1), axis=1)[:, None, None]
+        joint = PureState((16, 16), joints)
+        count = 16 * words * schemes._fuse_words(256, model, grid=True)
+        peak = self.peak_above_input(
+            lambda: _run_state_independent(joint, (1, 4, 9, 12), (0, 5, 10, 15), "fast", model))
+        assert 0.9 * count <= peak <= count + 3 * np.getbufsize() * 16
+
+    @MODELS
     def test_a_small_batch_runs_in_one_slice(self, model):
         # 64 words of (8, 8) sit below the slice floor, so one slice holds them
         rng = np.random.default_rng(173)
@@ -666,6 +682,41 @@ class TestFusion:
             if a.state is not None:
                 assert a.state.dims == b.state.dims == (d1, d2)
                 np.testing.assert_allclose(a.state.amps, b.state.amps, rtol=0, atol=1e-14)
+
+
+class TestTailShares:
+    """_Tail.build's exact success and the share of it the fusion tail
+    simulates: the router simulates all of its h/16, the ladder only the
+    fusion's h/4, its two-level gates' (h/16)^(k1+k2) coming from the
+    formula, and an analyzer that heralds nothing simulates the 0 it
+    expects. The tables every tail reads are read-only."""
+
+    @pytest.mark.parametrize("heralds", [BELL_LABELS, ("psi+", "psi-"), ()],
+                             ids=["ideal", "linear-optics", "no-heralds"])
+    def test_shares_and_counts(self, heralds):
+        model, h = BsmModel(frozenset(heralds)), len(heralds)
+        t1, t2 = TriggerSet((1, 3), 4), TriggerSet((0,), 3)
+        router = _Tail.build("state-dependent", t1, t2, model)
+        assert (router.expected, router.simulated, router.target) == (Fraction(h, 16),) * 2 + (h / 16,)
+        assert (router.ancillas, router.gates) == (2, 1)
+        ladder = _Tail.build("state-independent", t1, t2, model)
+        assert ladder.expected == Fraction(h, 4) * Fraction(h, 16) ** 3
+        assert (ladder.simulated, ladder.target) == (Fraction(h, 4), h / 4)
+        assert (ladder.ancillas, ladder.gates) == (8, 3)
+        for tail in (router, ladder):
+            assert type(tail.expected) is type(tail.simulated) is Fraction
+        if not h:
+            assert ladder.simulated == ladder.expected == router.simulated == router.expected == 0
+
+    def test_shared_tables_are_read_only(self):
+        # every tail reads its heralded labels' rows of the same two tables
+        tail = _Tail.build("state-dependent", TriggerSet((1,), 4), TriggerSet((0,), 3),
+                           BsmModel.linear_optics())
+        np.testing.assert_array_equal(tail.bras, schemes._FUSION[2:])
+        np.testing.assert_array_equal(tail.corrections, schemes._CORRECTIONS[2:])
+        for table in (schemes._FUSION, schemes._CORRECTIONS):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0, 0] = 0.0
 
 
 class TestProbabilityCheck:
