@@ -35,7 +35,9 @@ def _signs(*triggers: TriggerSet) -> np.ndarray:
 
 def _diagonal(signs: np.ndarray) -> Unitary:
     """The complex diagonal matrix of a ±1 sign array, read in C order."""
-    return Unitary._trusted(np.diag(np.ravel(signs).astype(complex)))
+    mat = np.zeros((signs.size, signs.size), dtype=complex)
+    mat.ravel()[:: signs.size + 1] = signs.ravel()  # the diagonal's flat stride
+    return Unitary._trusted(mat)
 
 
 def multi_level_cz(d1: int, d2: int, c1, c2) -> Unitary:
@@ -57,12 +59,12 @@ def trigger_pattern(state: PureState, triggers: TriggerSet) -> tuple[np.ndarray,
 
     Returns (pattern, weight) with the pattern normalized and the weight
     the probability mass it carried, one of each per word for a batched
-    state. A word with no support on the triggers, divided by 1 where every
-    other word is divided by its weight's root, gets the uniform pattern.
+    state. A word with no support on the triggers gets the uniform
+    pattern.
     """
     if len(state.dims) != 1:
         raise ValueError("pattern is defined for a single register")
-    beta = state.amps.take(triggers.indices, axis=-1)
+    beta = state.amps[..., list(triggers.indices)]
     weight = (np.abs(beta) ** 2).sum(axis=-1)
     empty = weight == 0.0
     pattern = beta / np.sqrt(weight + empty)[..., None]
@@ -173,12 +175,11 @@ def _outcomes(
     batched, dims = probs.ndim > 1, fronts.shape[fronts.ndim - ndims :]
     live = (kept.any(axis=tuple(range(kept.ndim - 1))) if batched else kept).tolist()
     values = [probs[..., i] for i in range(probs.shape[-1])] if batched else probs.tolist()
-    outcomes = []
-    for i, j in enumerate(_heralded(model.heralds)):
-        state = None
-        if live[i]:
-            state = PureState._fresh(dims, fronts[(..., i) + (slice(None),) * ndims])
-        outcomes.append(BsmOutcome(BELL_LABELS[j], values[i], state))
+    outcomes = [
+        BsmOutcome(BELL_LABELS[j], values[i],
+                   PureState._fresh(dims, fronts[(..., i) + (slice(None),) * ndims]) if live[i] else None)
+        for i, j in enumerate(_heralded(model.heralds))
+    ]
     heralded = probs.sum(axis=-1)
     if model.heralds != _ALL_HERALDS:
         fail = np.maximum(0.0, total - heralded)

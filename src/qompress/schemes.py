@@ -338,7 +338,7 @@ def _route_flag(psi: PureState, triggers: TriggerSet) -> tuple[PureState, np.nda
     unitary's other rows would carry is checked as a truncation."""
     pattern, weight = trigger_pattern(psi, triggers)
     at = np.array(triggers.indices)
-    beta = psi.amps.take(at, axis=-1)
+    beta = psi.amps[..., at]
     rails = pattern / np.sqrt(2.0)
     out = psi.amps * _H
     out[..., at] = 0
@@ -371,7 +371,6 @@ def verified_two_level_cz(d: int, s: int) -> Unitary:
 
     Every basis pair is pushed through the state-dependent pipeline and
     each heralded branch must reproduce the logical matrix entrywise.
-    The result is cached per (d, s).
     """
     logical = multi_level_cz(d, 2, (s,), (1,))
     # one word per basis pair (m, f), in the matrix's column order 2m + f
