@@ -10,27 +10,25 @@ commits unpacked into two directories). The script runs
   `truth_table.state_independent_words_per_s`) of its detail line;
 - the Tier-1 suite once per side, with its wall time and `--durations=10`
   block;
-- `ccx_chain_12`: the 12-qubit `ccx(i, i+1, i+2)` chain on two and three
-  equal groups with the `standard` and `state-independent` backends, wall
-  time and peak RSS, one process each, in `CHAIN_PAIRS` pairs per case;
-- `h_sandwich_12`: `h` on each of 12 qubits in two groups, `cz(0, 11)`
-  twice and `h` on each qubit again, on the same two backends, in
-  `CHAIN_PAIRS` pairs per case: every word spreads over all 4096 codes
-  and crosses twice at full support;
-- `sd_crossing_12`: `ccx(0, 1, 2)`, `ccx(3, 4, 6)` and `ccx(7, 8, 9)` on
-  12 qubits in groups (0..5) and (6..11) with the `state-dependent`
-  backend, in `CHAIN_PAIRS` pairs: one router crossing over all 4096
-  words;
-- `sd_crossing_14`: `ccx(0, 1, 8)` on 14 qubits in groups (0..6) and
-  (7..13) with the `state-dependent` backend, in `CHAIN_PAIRS` pairs under
-  the 2000 MB address-space limit below: one router crossing of two
-  128-level registers, 32 and 64 of their levels triggers;
-- `cost_report` on one `cx` across a w-qubit group and a 2-qubit group,
-  w = 14 to 20, wall time and peak RSS, one process per side and point;
-- `qompress verify --trials 1` with both schemes at d1 = 2^10, 2^14, 2^17
-  and 2^20 and d2 = 2, wall time and peak RSS, one process per side and
-  point, under a 2000 MB address-space limit, so a side that asks for
-  more memory than that exits instead of exhausting the machine;
+- the series below, each process one case of `bench_cases.py` (beside
+  this script, so a side without it is measured too), run in that side's
+  checkout with its `src` on the path:
+  - `ccx_chain_12`: `ccx_chain 12 K BACKEND` on two and three groups,
+    `standard` and `state-independent`, in `CHAIN_PAIRS` pairs;
+  - `h_sandwich_12`: `h_sandwich BACKEND` on the same two backends, in
+    `CHAIN_PAIRS` pairs;
+  - `sd_crossing_12` and `sd_crossing_14`, in `CHAIN_PAIRS` pairs, the
+    second under the 2000 MB address-space limit below;
+  - `wide_cx_pricing`: `wide_pricing W`, w = 14 to 20;
+  - `verify_scaling`: `verify SCHEME D1` with both schemes at d1 = 2^10,
+    2^14, 2^17 and 2^20, under the 2000 MB limit, so a side that asks
+    for more memory than that exits instead of exhausting the machine;
+  - `scheme_calls`: `scheme_calls D MODEL` at d = 2, 4, 8 and 16 under
+    the ideal and the linear-optics analyzer, `SCHEME_CALL_REPEATS` calls
+    after `SCHEME_CALL_WARMUP`, in `CHAIN_PAIRS` pairs;
+  - on the change side alone, `ccx_chain_16` and `ccx_chain_20`: the
+    chain at 16 and 20 qubits on two groups, both backends, under the
+    2000 MB limit;
 - the `startup` series: each of the four `cli` workload argvs (seed 31) in
   one `python -X importtime` process per side, with its exit code, wall
   time and the cumulative import microseconds of `numpy` (0 when it was
@@ -38,28 +36,13 @@ commits unpacked into two directories). The script runs
   or one of its modules, numpy included where one of them pulled it in),
   beside each side's `sys.flags.dont_write_bytecode`: with it set, no
   process reuses compiled bytecode and every one pays for compiling the
-  package;
-- `scheme_calls`: the in-process median time of one `run_state_dependent`,
-  one `run_state_independent_joint` and one `multi_level_cz` call at
-  d1 = d2 = 2, 4, 8 and 16 (every other level a trigger, the first
-  register's from 0 and the second's from 1) under the ideal and the
-  linear-optics analyzer, `SCHEME_CALL_REPEATS` calls each after
-  `SCHEME_CALL_WARMUP` untimed ones, one process per side and case, in
-  `CHAIN_PAIRS` pairs: the per-call cost of each layer at several sizes;
-- on the change side alone, `ccx_chain_16` and `ccx_chain_20`: the chain
-  at 16 and 20 qubits on two groups, both backends, under the same
-  2000 MB limit.
+  package.
 
 Every series that runs on both sides alternates them: each point runs
 once per side in a pair, and the side that runs first alternates from
 point to point and from pair to pair, so the box's slow spells do not
 land on one side. Each series keeps every run beside each side's medians.
-
-A process that prints no result, say one killed for memory or a `verify`
-that exits 2 when an allocation fails, keeps its exit code and stderr
-instead. The chain and `verify` scripts import numpy before they start the
-clock, so their series time the work alone, and the allocator's history
-of large frees does not depend on where numpy was first loaded.
+A process that prints no result keeps its exit code and stderr instead.
 
 The output file is written afresh.
 
@@ -80,135 +63,9 @@ import sys
 import time
 from pathlib import Path
 
-CHAIN = """
-import json, resource, sys, time
-import numpy
-from qompress.compress import CircuitIR, Gate, QuditLayout, simulate_compressed
-n, k, backend = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
-circuit = CircuitIR(n, tuple(Gate("ccx", (i, i + 1, i + 2)) for i in range(n - 2)))
-layout = QuditLayout(tuple(tuple(range(g * n // k, (g + 1) * n // k)) for g in range(k)))
-t0 = time.perf_counter()
-simulate_compressed(circuit, layout, backend)
-print(json.dumps({"qubits": n, "groups": k, "backend": backend, "wall_s": time.perf_counter() - t0,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
-"""
-
-H_SANDWICH = """
-import json, resource, sys, time
-import numpy
-from qompress.compress import CircuitIR, Gate, QuditLayout, simulate_compressed
-n, backend = 12, sys.argv[1]
-spread = tuple(Gate("h", (q,)) for q in range(n))
-circuit = CircuitIR(n, spread + (Gate("cz", (0, n - 1)),) * 2 + spread)
-layout = QuditLayout((tuple(range(n // 2)), tuple(range(n // 2, n))))
-t0 = time.perf_counter()
-table = simulate_compressed(circuit, layout, backend)
-wall = time.perf_counter() - t0
-assert all(word == out for word, out in table.items())
-print(json.dumps({"qubits": n, "backend": backend, "wall_s": wall,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
-"""
-
-SD_CROSSING = """
-import json, resource, time
-import numpy
-from qompress.compress import CircuitIR, Gate, QuditLayout, simulate_compressed
-ccx = ((0, 1, 2), (3, 4, 6), (7, 8, 9))
-circuit = CircuitIR(12, tuple(Gate("ccx", g) for g in ccx))
-layout = QuditLayout((tuple(range(6)), tuple(range(6, 12))))
-t0 = time.perf_counter()
-table = simulate_compressed(circuit, layout, "state-dependent")
-wall = time.perf_counter() - t0
-for word, out in table.items():
-    bits = list(word)
-    for a, b, t in ccx:
-        bits[t] ^= bits[a] & bits[b]
-    assert tuple(bits) == out
-print(json.dumps({"qubits": 12, "backend": "state-dependent", "wall_s": wall,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
-"""
-
-SD_CROSSING_14 = """
-import json, resource, time
-import numpy
-from qompress.compress import CircuitIR, Gate, QuditLayout, simulate_compressed
-circuit = CircuitIR(14, (Gate("ccx", (0, 1, 8)),))
-layout = QuditLayout((tuple(range(7)), tuple(range(7, 14))))
-t0 = time.perf_counter()
-table = simulate_compressed(circuit, layout, "state-dependent")
-wall = time.perf_counter() - t0
-for word, out in table.items():
-    bits = list(word)
-    bits[8] ^= bits[0] & bits[1]
-    assert tuple(bits) == out
-print(json.dumps({"qubits": 14, "backend": "state-dependent", "wall_s": wall,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
-"""
-
-WIDE_PRICING = """
-import json, resource, sys, time
-from qompress.compress import CircuitIR, Gate, QuditLayout, cost_report
-w = int(sys.argv[1])
-circuit = CircuitIR(w + 2, (Gate("cx", (0, w)),))
-layout = QuditLayout((tuple(range(w)), (w, w + 1)))
-t0 = time.perf_counter()
-cost_report(circuit, layout)
-print(json.dumps({"width": w, "wall_s": time.perf_counter() - t0,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
-"""
-
-VERIFY = """
-import contextlib, io, json, resource, sys, time
-import numpy
-from qompress.cli import main
-scheme, d1 = sys.argv[1], sys.argv[2]
-out = io.StringIO()
-t0 = time.perf_counter()
-with contextlib.redirect_stdout(out):
-    code = main(["verify", "--scheme", scheme, "--d1", d1, "--d2", "2", "--trials", "1",
-                 "--format", "json"])
-wall = time.perf_counter() - t0
-if code == 2:
-    sys.exit(code)  # the error line is on stderr; no result to print
-print(json.dumps({"scheme": scheme, "d1": int(d1), "exit": code,
-                  "passed": json.loads(out.getvalue())["passed"], "wall_s": wall,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
-"""
-
-SCHEME_CALLS = """
-import json, resource, statistics, sys, time
-import numpy as np
-from qompress.exact import BsmModel
-from qompress.mcz import multi_level_cz
-from qompress.qstate import random_state
-from qompress.schemes import run_state_dependent, run_state_independent_joint
-d, model, warmup, repeats = int(sys.argv[1]), sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
-bsm = BsmModel.ideal() if model == "ideal" else BsmModel.linear_optics()
-rng = np.random.default_rng(d)
-psi1, psi2, joint = random_state((d,), rng), random_state((d,), rng), random_state((d, d), rng)
-c1, c2 = tuple(range(0, d, 2)), tuple(range(1, d, 2))
-calls = {"run_state_dependent": lambda: run_state_dependent(psi1, psi2, c1, c2, bsm),
-         "run_state_independent_joint": lambda: run_state_independent_joint(joint, c1, c2, model=bsm),
-         "multi_level_cz": lambda: multi_level_cz(d, d, c1, c2)}
-out = {"d": d, "model": model}
-t0 = time.perf_counter()
-for name, call in calls.items():
-    times = []
-    for _ in range(warmup + repeats):
-        start = time.perf_counter_ns()
-        call()
-        times.append(time.perf_counter_ns() - start)
-    out[name + "_us"] = statistics.median(times[warmup:]) / 1e3
-print(json.dumps({**out, "wall_s": time.perf_counter() - t0,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
-"""
-
-CLI_ARGVS = """
-import json, sys
-sys.path.insert(0, "perfbench")
-import gen
-print(json.dumps(gen.cli_argvs(31)))
-"""
+# every series process: `bench_cases.py CASE ARGS...` beside this script,
+# run in each side's checkout on that side's `src`
+CASES = Path(__file__).resolve().parent / "bench_cases.py"
 
 # one `-X importtime` stderr line: self and cumulative microseconds, then
 # the module name indented two spaces per level of nesting
@@ -228,6 +85,7 @@ SCHEME_CALL_WARMUP, SCHEME_CALL_REPEATS = 200, 2000
 SCHEME_CALL_KEYS = tuple(f"{name}_us" for name in
                          ("run_state_dependent", "run_state_independent_joint", "multi_level_cz"))
 
+SCHEMES = ("state-dependent", "state-independent")
 VERIFY_DIMS = (1 << 10, 1 << 14, 1 << 17, 1 << 20)
 # the address-space limit of each verify_scaling and sd_crossing_14 process,
 # the 2 GB of the large-register CI steps
@@ -270,38 +128,36 @@ def tier1(path: Path) -> dict:
     return {"wall_s": wall, "summary": lines[-1] if lines else "", "durations": durations}
 
 
-def script_runs(path: Path, script: str, arg_lists, limit_mb: int | None = None) -> list[dict]:
-    # a process that crashes or runs out of memory prints no result line; its
-    # exit code and stderr are recorded in its place, so the runs already made
-    # are kept
+def case_run(path: Path, case: str, args, limit_mb: int | None = None) -> dict:
+    """One `bench_cases.py` process in the checkout at `path`, under an
+    address-space limit of `limit_mb` if given. A process that crashes or
+    runs out of memory prints no result line; its exit code and stderr are
+    recorded in its place, so the runs already made are kept."""
     def cap():
         limit = limit_mb << 20
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    records = []
-    for args in arg_lists:
-        out = run([sys.executable, "-c", script, *map(str, args)], path,
-                  env={**os.environ, "PYTHONPATH": "src"}, preexec_fn=cap if limit_mb else None)
-        records.append(json.loads(out.stdout) if out.stdout.startswith("{") else
-                       {"args": list(args), "returncode": out.returncode, "stderr": out.stderr})
-    return records
+    out = run([sys.executable, str(CASES), case, *map(str, args)], path,
+              env={**os.environ, "PYTHONPATH": "src"}, preexec_fn=cap if limit_mb else None)
+    return (json.loads(out.stdout) if out.stdout.startswith("{") else
+            {"args": list(args), "returncode": out.returncode, "stderr": out.stderr})
 
 
-def alternated(sides: dict[str, Path], name: str, script: str, cases, pairs: int = 1,
+def alternated(sides: dict[str, Path], case: str, arg_lists, pairs: int = 1,
                limit_mb: int | None = None, keys=("wall_s", "peak_rss_mb")) -> dict:
-    """Every case of `script` in `pairs` alternated parent/change pairs, the
-    first side alternating from case to case and from pair to pair: each
-    run, and per side and case the median of each of `keys` (by default
-    the wall time and peak RSS) over the runs that printed a result."""
+    """Every argument list of `case` in `pairs` alternated parent/change
+    pairs, the first side alternating from point to point and from pair to
+    pair: each run, and per side and point the median of each of `keys` (by
+    default the wall time and peak RSS) over the runs that printed a result."""
     runs = []
     for pair in range(pairs):
-        for j, case in enumerate(cases):
+        for j, args in enumerate(arg_lists):
             order = ("parent", "change") if (pair + j) % 2 == 0 else ("change", "parent")
             for side in order:
-                (result,) = script_runs(sides[side], script, [case], limit_mb)
-                runs.append({"side": side, "pair": pair, "case": list(case), "result": result})
-                print(side, name, *case, pair, result.get("wall_s", "?"), file=sys.stderr)
-    return {"runs": runs, "median": medians(runs, sides, cases, keys)}
+                result = case_run(sides[side], case, args, limit_mb)
+                runs.append({"side": side, "pair": pair, "case": list(args), "result": result})
+                print(side, case, *args, pair, result.get("wall_s", "?"), file=sys.stderr)
+    return {"runs": runs, "median": medians(runs, sides, arg_lists, keys)}
 
 
 def medians(runs: list[dict], sides, cases, keys) -> dict:
@@ -338,7 +194,7 @@ def startup(sides: dict[str, Path]) -> dict:
     record = {side: {"dont_write_bytecode": int(run(
         [sys.executable, "-c", "import sys; print(sys.flags.dont_write_bytecode)"], path,
         env=env).stdout), "runs": []} for side, path in sides.items()}
-    argvs = json.loads(run([sys.executable, "-c", CLI_ARGVS], sides["change"], env=env).stdout)
+    argvs = json.loads(run([sys.executable, str(CASES), "cli_argvs"], sides["change"], env=env).stdout)
     for j, (name, argv) in enumerate(argvs):
         for side in ("parent", "change") if j % 2 == 0 else ("change", "parent"):
             record[side]["runs"].append({"command": name, **startup_run(sides[side], argv)})
@@ -358,26 +214,22 @@ def main(argv=None) -> int:
     for spec in args.pair:
         bench_pairs(sides, spec, record)
     record["tier1"] = {side: tier1(path) for side, path in sides.items()}
-    record["ccx_chain_12"] = alternated(sides, "ccx_chain_12", CHAIN, CHAIN_CASES, CHAIN_PAIRS)
-    record["h_sandwich_12"] = alternated(sides, "h_sandwich_12", H_SANDWICH,
-                                         [(b,) for b in BACKENDS], CHAIN_PAIRS)
-    record["sd_crossing_12"] = alternated(sides, "sd_crossing_12", SD_CROSSING, [()], CHAIN_PAIRS)
-    record["sd_crossing_14"] = alternated(sides, "sd_crossing_14", SD_CROSSING_14, [()], CHAIN_PAIRS,
-                                          limit_mb=VERIFY_LIMIT_MB)
-    record["wide_cx_pricing"] = alternated(sides, "wide_cx_pricing", WIDE_PRICING,
-                                           [(w,) for w in range(14, 21)])
+    record["ccx_chain_12"] = alternated(sides, "ccx_chain", CHAIN_CASES, CHAIN_PAIRS)
+    record["h_sandwich_12"] = alternated(sides, "h_sandwich", [(b,) for b in BACKENDS], CHAIN_PAIRS)
+    record["sd_crossing_12"] = alternated(sides, "sd_crossing_12", [()], CHAIN_PAIRS)
+    record["sd_crossing_14"] = alternated(sides, "sd_crossing_14", [()], CHAIN_PAIRS, VERIFY_LIMIT_MB)
+    record["wide_cx_pricing"] = alternated(sides, "wide_pricing", [(w,) for w in range(14, 21)])
     record["verify_scaling"] = alternated(
-        sides, "verify_scaling", VERIFY,
-        [(scheme, d1) for scheme in ("state-dependent", "state-independent") for d1 in VERIFY_DIMS],
+        sides, "verify", [(scheme, d1) for scheme in SCHEMES for d1 in VERIFY_DIMS],
         limit_mb=VERIFY_LIMIT_MB)
     record["startup"] = startup(sides)
     record["scheme_calls"] = alternated(
-        sides, "scheme_calls", SCHEME_CALLS,
+        sides, "scheme_calls",
         [(d, model, SCHEME_CALL_WARMUP, SCHEME_CALL_REPEATS) for d, model in SCHEME_CALL_CASES],
         CHAIN_PAIRS, keys=SCHEME_CALL_KEYS + ("wall_s",))
     for case in WIDE_CHAIN_CASES:
         name = f"ccx_chain_{case[0]}"
-        (result,) = script_runs(sides["change"], CHAIN, [case], VERIFY_LIMIT_MB)
+        result = case_run(sides["change"], "ccx_chain", case, VERIFY_LIMIT_MB)
         record.setdefault(name, {"change": []})["change"].append(result)
         print("change", name, *case, result.get("wall_s", "?"), file=sys.stderr)
     args.out.write_text(json.dumps(record, indent=1) + "\n")

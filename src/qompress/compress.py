@@ -464,11 +464,11 @@ def simulate_compressed(
 
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; pick one of {BACKENDS}")
-    spans = [i for i, tag in enumerate(classify_gates(circuit, layout)) if not tag.local]
+    spans = [(i, masks) for i, (_, masks) in enumerate(_gate_masks(circuit, layout)) if len(masks) > 1]
     if backend == "state-dependent" and len(spans) > 1:
-        raise CompressionError(_no_router_ancilla(spans[1]))
+        raise CompressionError(_no_router_ancilla(spans[1][0]))
     # a gate over three groups raises here
-    crossings = {i: trigger_sets(circuit.gates[i], layout) for i in spans}
+    crossings = {i: _derivation(masks, layout) for i, masks in spans}
     n = circuit.qubit_count
     order = [q for group in layout.groups for q in group]
     bit = {q: 1 << (n - 1 - i) for i, q in enumerate(order)}

@@ -64,7 +64,9 @@ def trigger_pattern(state: PureState, triggers: TriggerSet) -> tuple[np.ndarray,
     """
     if len(state.dims) != 1:
         raise ValueError("pattern is defined for a single register")
-    beta = state.amps[..., list(triggers.indices)]
+    # `take` lays β out C-ordered whatever the batch, so a word's digits do
+    # not depend on the words beside it
+    beta = state.amps.take(triggers.indices, axis=-1)
     weight = (np.abs(beta) ** 2).sum(axis=-1)
     empty = weight == 0.0
     pattern = beta / np.sqrt(weight + empty)[..., None]

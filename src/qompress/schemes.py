@@ -338,7 +338,7 @@ def _route_flag(psi: PureState, triggers: TriggerSet) -> tuple[PureState, np.nda
     unitary's other rows would carry is checked as a truncation."""
     pattern, weight = trigger_pattern(psi, triggers)
     at = np.array(triggers.indices)
-    beta = psi.amps[..., at]
+    beta = psi.amps.take(at, axis=-1)  # C-ordered, as in `trigger_pattern`
     rails = pattern / np.sqrt(2.0)
     out = psi.amps * _H
     out[..., at] = 0

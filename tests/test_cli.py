@@ -211,6 +211,25 @@ class TestCompress:
         assert len(standard) == math.floor(8192 * math.log10(9)) + 1
         assert standard.endswith(f"{pow(9, 8192, 10**20):020d}")
 
+    @pytest.mark.parametrize("fmt, want", [("json", (4, 0)), ("text", (4, 4))])
+    def test_each_row_is_written_once_in_the_format_printed(self, capsys, monkeypatch, tmp_path, fmt, want):
+        # a wide group's rows have fractions of many digits: each is written
+        # once, and the scientific form only for the text that prints it
+        circuit = tmp_path / "c.json"
+        layout = tmp_path / "l.json"
+        circuit.write_text(json.dumps({"qubits": 18, "gates": [{"kind": "cx", "operands": [0, 16]}]}))
+        layout.write_text(json.dumps({"groups": [list(range(16)), [16, 17]]}))
+        calls = {"_fraction_text": 0, "_sci_text": 0}
+        for name in calls:
+            def counted(f, _real=getattr(cli, name), _name=name):
+                calls[_name] += 1
+                return _real(f)
+
+            monkeypatch.setattr(cli, name, counted)
+        code, _, err = run(capsys, ["compress", str(circuit), str(layout), "--format", fmt])
+        assert (code, err) == (0, "")
+        assert (calls["_fraction_text"], calls["_sci_text"]) == want
+
     def test_probabilities_below_the_smallest_double_keep_their_magnitude(self, capsys, tmp_path):
         circuit = tmp_path / "c.json"
         layout = tmp_path / "l.json"

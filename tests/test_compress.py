@@ -488,7 +488,7 @@ class TestSimulation:
         # one derivation per crossing, not one per word; the crossing is a
         # sign multiply, so no dense gate matrix is built at all, and the
         # dense backends read no trigger level, so none is listed
-        calls = {"trigger_sets": 0, "multi_level_cz": 0}
+        calls = {"_derivation": 0, "multi_level_cz": 0}
         for module in (compress, schemes, mcz):
             for name in calls:
                 real = getattr(module, name, None)
@@ -502,7 +502,7 @@ class TestSimulation:
                 monkeypatch.setattr(module, name, counted)
         with trigger_sets_built() as built:
             simulate_compressed(qfa_circuit(), qfa_layout(), "standard")
-            assert calls == {"trigger_sets": 2, "multi_level_cz": 0}
+            assert calls == {"_derivation": 2, "multi_level_cz": 0}
             simulate_compressed(qfa_circuit(), qfa_layout(), "uncompressed")
         assert built == []
 

@@ -5,9 +5,12 @@ from __future__ import annotations
 import dataclasses
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_amplitudes, random_trigger_indices
 from qompress import schemes
@@ -402,6 +405,89 @@ class TestBatchedCores:
             run_state_dependent(batch, batch, (1,), (1,))
         with pytest.raises(ValueError):
             run_state_independent_joint(PureState((2, 2), np.eye(4).reshape(4, 2, 2)), (1,), (1,))
+
+
+@st.composite
+def word_batches(draw):
+    """A batch of 1-12 random words on registers of d1, d2 = 2-12 levels
+    with random triggers and a slice floor. On the grid each word is a
+    whole register; at a support each register is nonzero on a few random
+    levels, the word read at their products and one padding entry (-1)."""
+    d1, d2, words = draw(st.integers(2, 12)), draw(st.integers(2, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c1, c2 = random_trigger_indices(d1, rng), random_trigger_indices(d2, rng)
+    on = [np.argsort(rng.random((words, d)), axis=1)[:, : draw(st.integers(1, d))] for d in (d1, d2)]
+    return d1, d2, c1, c2, on, rng, draw(st.sampled_from([0, 1, 64, 1 << 10, 1 << 16]))
+
+
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    return x / np.linalg.norm(x.reshape(len(x), -1), axis=1).reshape((-1,) + (1,) * (x.ndim - 1))
+
+
+class TestBatchInvariance:
+    """A word's output does not depend on the words beside it or on how the
+    batch is sliced: under any slice floor, every word of a batch run
+    through a scheme core is bit for bit its run alone, on the grid and at
+    a support."""
+
+    @staticmethod
+    def by_word(slices) -> list[dict]:
+        """Per word, each branch's output and probability and each
+        outcome's probability, by label."""
+        words = []
+        for res in slices:
+            for w in range(len(res.output.amps)):
+                words.append({
+                    **{("branch", b.label): (b.output.amps[w], b.probability[w]) for b in res.branches},
+                    **{("outcome", o.label): (o.probability[w],) for o in res.bsm_outcomes}})
+        return words
+
+    @MODELS
+    @pytest.mark.parametrize("scheme", ["state-dependent", "state-independent"])
+    @pytest.mark.parametrize("support", [False, True], ids=["grid", "support"])
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(case=word_batches())
+    def test_every_word_is_its_run_alone(self, model, scheme, support, case):
+        d1, d2, c1, c2, on, rng, floor = case
+        words = len(on[0])
+        if support:
+            t1, t2 = TriggerSet(c1, d1), TriggerSet(c2, d2)
+            levels = (on[0][:, :, None] * d2 + on[1][:, None, :]).reshape(words, -1)
+            levels = np.concatenate([levels, np.full((words, 1), -1)], axis=1)
+        if scheme == "state-dependent":
+            psi = []
+            for d, at in zip((d1, d2), on):
+                if support:
+                    x = np.zeros((words, d), dtype=complex)
+                    x[np.arange(words)[:, None], at] = random_batch(at.shape, rng)
+                else:
+                    x = random_batch((words, d), rng)
+                psi.append(unit_rows(x))
+
+            def run(lo, hi):
+                return _run_state_dependent(*(PureState(p.shape[1:], p[lo:hi]) for p in psi), c1, c2,
+                                            model, *((levels[lo:hi],) if support else ()))
+        else:
+            if support:
+                x = random_batch(levels.shape, rng) * (levels >= 0)
+                joint = PureState((levels.shape[1],), unit_rows(x))
+            else:
+                joint = PureState((d1, d2), unit_rows(random_batch((words, d1, d2), rng)))
+
+            def run(lo, hi):
+                word = PureState(joint.dims, joint.amps[lo:hi])
+                if support:
+                    return _run_state_independent(word, t1, t2, "fast", model, levels[lo:hi])
+                return _run_state_independent(word, c1, c2, "fast", model)
+
+        with mock.patch.object(schemes, "_SLICE_FLOOR", floor):
+            batch = self.by_word(run(0, words))
+        for w in range(words):
+            (alone,) = self.by_word(run(w, w + 1))
+            assert batch[w].keys() == alone.keys()
+            for key, value in alone.items():
+                for got, want in zip(batch[w][key], value):
+                    assert np.array_equal(got, want), (w, key)
 
 
 class TestSliceMemory:
